@@ -258,6 +258,38 @@ class Bracket:
         return f"Bracket(dim={self.dim}, index={self.nilpotency_index})"
 
 
+def as_tensor(mu) -> SkewTensor:
+    """The structure constants of a Bracket, or mu itself."""
+    return mu.tensor if isinstance(mu, Bracket) else mu
+
+
+def combine(coeffs, basis: list):
+    """sum_k coeffs[k] * basis[k] over SkewTensors or arrays, as one
+    tensordot; for arrays, 2-D coeffs give one stacked result per row."""
+    if isinstance(basis[0], SkewTensor):
+        return SkewTensor(basis[0].dim, combine(coeffs, [b.coeffs for b in basis]))
+    return np.tensordot(np.asarray(coeffs, dtype=float), np.stack(basis), axes=1)
+
+
+def expm(S: np.ndarray) -> np.ndarray:
+    """exp(S) by eigh; ValueError unless S is symmetric to 1e-12 relative."""
+    S = np.asarray(S, dtype=float)
+    if np.abs(S - S.T).max() > 1e-12 * np.abs(S).max():
+        raise ValueError("expm needs a symmetric generator")
+    w, V = np.linalg.eigh(S)
+    return (V * np.exp(w)) @ V.T
+
+
+def expm_skew(K: np.ndarray) -> np.ndarray:
+    """Orthogonal exp(K) for antisymmetric K, by eigh of the Hermitian iK;
+    ValueError unless K is antisymmetric to 1e-12 relative."""
+    K = np.asarray(K, dtype=float)
+    if np.abs(K + K.T).max() > 1e-12 * np.abs(K).max():
+        raise ValueError("expm_skew needs an antisymmetric generator")
+    w, V = np.linalg.eigh(1j * K)
+    return ((V * np.exp(-1j * w)) @ V.conj().T).real
+
+
 class Metric:
     """Left-invariant inner product <X, Y> = X^T G Y, G symmetric positive
     definite.  Caches the Cholesky transport h = L^T with G = L L^T."""
@@ -358,8 +390,7 @@ def coboundary_matrix(mu: SkewTensor) -> np.ndarray:
 
 def derivation_basis(mu) -> list:
     """Frobenius-orthonormal basis of Der(mu) = ker(A -> delta_mu(A))."""
-    tensor = mu.tensor if isinstance(mu, Bracket) else mu
-    M = coboundary_matrix(tensor)
+    M = coboundary_matrix(as_tensor(mu))
     ns = svd_nullspace(M)
     return [ns[:, i].reshape(mu.dim, mu.dim) for i in range(ns.shape[1])]
 
@@ -367,8 +398,7 @@ def derivation_basis(mu) -> list:
 def symmetric_derivation_basis(mu) -> list:
     """Orthonormal basis of the symmetric part of Der(mu)."""
     n = mu.dim
-    tensor = mu.tensor if isinstance(mu, Bracket) else mu
-    M = coboundary_matrix(tensor)
+    M = coboundary_matrix(as_tensor(mu))
     SB = np.column_stack([B.ravel() for B in sym_basis(n)])
     ns = svd_nullspace(M @ SB)
     out = []

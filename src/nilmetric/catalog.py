@@ -18,6 +18,8 @@ from .algebra_core import (
     Bracket,
     Metric,
     SkewTensor,
+    as_tensor,
+    combine,
     jacobi_residual,
     lower_central_dims,
 )
@@ -103,7 +105,7 @@ class FamilyPoint:
 
     @property
     def tensor(self) -> SkewTensor:
-        return self.bracket.tensor if isinstance(self.bracket, Bracket) else self.bracket
+        return as_tensor(self.bracket)
 
 
 def _validated_point(family_id: str, params: dict, tensor: SkewTensor,
@@ -288,18 +290,7 @@ class HypercomplexAmbient:
     def sample(self, rng, abelian: bool = False) -> SkewTensor:
         """Gaussian draw projected onto the (abelian-)integrable subspace."""
         basis = self.abelian_basis if abelian else self.integrable_basis
-        coeffs = rng.standard_normal(len(basis))
-        out = SkewTensor.zero(self.structure.dim)
-        for c, b in zip(coeffs, basis):
-            out = out.plus(b, c)
-        return out
-
-
-def _combine(basis: list, col: np.ndarray) -> SkewTensor:
-    out = SkewTensor.zero(basis[0].dim)
-    for c, b in zip(col, basis):
-        out = out.plus(b, float(c))
-    return out
+        return combine(rng.standard_normal(len(basis)), basis)
 
 
 def hypercomplex_ambient(n1: int = 4, n2: int = 4) -> HypercomplexAmbient:
@@ -310,14 +301,14 @@ def hypercomplex_ambient(n1: int = 4, n2: int = 4) -> HypercomplexAmbient:
     basis = graded_ambient_basis(n1, n2)
     rows_int = np.array([integrability_defect(structure, b) for b in basis]).T
     ns = svd_nullspace(rows_int)
-    integrable = [_combine(basis, ns[:, i]) for i in range(ns.shape[1])]
+    integrable = [combine(col, basis) for col in ns.T]
     rows_ab = np.array([
         np.concatenate([integrability_defect(structure, b),
                         abelian_defect(structure, b)])
         for b in basis
     ]).T
     ns_ab = svd_nullspace(rows_ab)
-    abelian = [_combine(basis, ns_ab[:, i]) for i in range(ns_ab.shape[1])]
+    abelian = [combine(col, basis) for col in ns_ab.T]
     return HypercomplexAmbient(basis=basis, integrable_basis=integrable,
                                abelian_basis=abelian, structure=structure)
 

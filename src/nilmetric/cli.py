@@ -13,13 +13,12 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__
-from .algebra_core import Bracket, Metric, act, lower_central_dims
+from .algebra_core import (Bracket, Metric, act, combine, expm, expm_skew,
+                           lower_central_dims)
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
 from .defaults import TOL_COMPAT, TOL_JACOBI, certification_tolerance
@@ -140,6 +139,7 @@ def cmd_flow(args) -> int:
         "F_final": last[2],
         "cert_residual_final": last[3],
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
         "normalized": not args.unnormalized,
         "sign": args.sign,
     })
@@ -152,12 +152,14 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, cfg, scale):
     if index == 0 or not basis:
         start = tensor
     else:
-        coeffs = rng.standard_normal(len(basis))
-        xi = sum(c * B for c, B in zip(coeffs, basis))
+        xi = combine(rng.standard_normal(len(basis)), basis)
         norm = np.linalg.norm(xi)
         if norm > 0:
             xi = (scale / norm) * xi
-        start = act(expm(xi), tensor)
+        # exp(S) exp(K) with S, K the symmetric and skew parts of xi: both
+        # lie in the structure algebra, so the product is in the group
+        start = act(expm(0.5 * (xi + xi.T)) @ expm_skew(0.5 * (xi - xi.T)),
+                    tensor)
     trace = bracket_descent(start, structure, cfg)
     final = trace.final_state
     cert = certify_minimal(final, Metric.identity(final.dim), structure)
@@ -183,12 +185,9 @@ def cmd_search(args) -> int:
                                   Metric.identity(problem.dim))
     cfg = FlowConfig(tol_converge=args.tol_converge, max_iter=args.max_iter)
     children = np.random.SeedSequence(args.seed).spawn(args.starts)
-    with ThreadPoolExecutor(max_workers=min(args.starts, 8)) as pool:
-        results = list(pool.map(
-            lambda k: _search_one(k, tensor, problem.structure, basis,
-                                  children[k], cfg, args.perturbation),
-            range(args.starts),
-        ))
+    results = [_search_one(k, tensor, problem.structure, basis, children[k],
+                           cfg, args.perturbation)
+               for k in range(args.starts)]
     best = min(results, key=lambda r: (not r["converged"], r["F_final"]))
     cert = best["_cert"]
     payload = _header()

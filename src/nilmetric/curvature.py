@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Bracket, Metric, SkewTensor, _transported
+from .algebra_core import Metric, _transported, as_tensor
 from .errors import ZeroTensor
-from .structures import Structure, invariant_projection, no_structure
-
-
-def _tensor_of(mu) -> SkewTensor:
-    return mu.tensor if isinstance(mu, Bracket) else mu
+from .structures import Structure, invariant_projection, with_defaults
 
 
 def _frame_ricci(T0: np.ndarray) -> np.ndarray:
@@ -33,7 +29,7 @@ def _frame_ricci(T0: np.ndarray) -> np.ndarray:
 
 def ricci_operator(mu, G: Metric = None) -> np.ndarray:
     """Ricci operator of (mu, G); G-self-adjoint, symmetric when G = I."""
-    tensor = _tensor_of(mu)
+    tensor = as_tensor(mu)
     if G is None:
         G = Metric.identity(tensor.dim)
     mu0, h, hinv = _transported(tensor, G)
@@ -45,7 +41,7 @@ def ricci_operator(mu, G: Metric = None) -> np.ndarray:
 
 def scalar_curvature(mu, G: Metric = None) -> float:
     """Scalar curvature; equals -1/4 |mu|^2 exactly at the identity metric."""
-    tensor = _tensor_of(mu)
+    tensor = as_tensor(mu)
     if G is None or G.is_identity():
         return -0.25 * tensor.norm2()
     mu0, _, _ = _transported(tensor, G)
@@ -54,7 +50,7 @@ def scalar_curvature(mu, G: Metric = None) -> float:
 
 def moment_map(mu) -> np.ndarray:
     """Moment map value m(mu) at the identity metric; equals 8 * Ric."""
-    T = _tensor_of(mu).full()
+    T = as_tensor(mu).full()
     M1 = np.einsum("pij,qij->pq", T, T, optimize=True)
     M2 = np.einsum("ijp,ijq->pq", T, T, optimize=True)
     return -4.0 * M1 + 2.0 * M2
@@ -77,6 +73,14 @@ def invariant_ricci(mu, G: Metric, gamma: Structure,
                                 allow_scale=allow_scale, check_cone=check_cone)
 
 
+def F_of_ricci(ric_gamma: np.ndarray, norm2: float) -> float:
+    """F = tr((Ric^gamma)^2) / |mu|^4 from Ric^gamma and |mu|^2; 0 when
+    |mu|^2 = 0."""
+    if norm2 == 0.0:
+        return 0.0
+    return float(np.trace(ric_gamma @ ric_gamma)) / norm2**2
+
+
 def functional_F(mu, gamma: Structure = None, G: Metric = None,
                  allow_scale: bool = False) -> float:
     """Normalized squared size of the invariant Ricci operator,
@@ -85,17 +89,13 @@ def functional_F(mu, gamma: Structure = None, G: Metric = None,
     Evaluated at the identity metric by default; a metric argument
     evaluates the same quantity for the transported bracket.
     """
-    tensor = _tensor_of(mu)
-    if gamma is None:
-        gamma = no_structure(tensor.dim)
-    if G is None:
-        G = Metric.identity(tensor.dim)
+    tensor, G, gamma = with_defaults(mu, G, gamma)
     mu0, _, _ = _transported(tensor, G)
     norm2 = mu0.norm2()
     if norm2 == 0.0:
         raise ZeroTensor("the functional is undefined at mu = 0")
     ric_gamma = invariant_ricci(tensor, G, gamma, allow_scale=allow_scale)
-    return float(np.trace(ric_gamma @ ric_gamma)) / norm2**2
+    return F_of_ricci(ric_gamma, norm2)
 
 
 @dataclass(frozen=True)
@@ -117,29 +117,19 @@ def curvature_report(mu, G: Metric = None, gamma: Structure = None,
     ascending.  The moment field is always the identity-metric moment map
     of the raw tensor.  F_value is 0 for the zero tensor.
     """
-    tensor = _tensor_of(mu)
-    n = tensor.dim
-    if G is None:
-        G = Metric.identity(n)
-    if gamma is None:
-        gamma = no_structure(n)
+    tensor, G, gamma = with_defaults(mu, G, gamma)
     mu0, h, hinv = _transported(tensor, G)
     ric = ricci_operator(tensor, G)
     ric_gamma = invariant_ricci(tensor, G, gamma, allow_scale=allow_scale)
-    scal = -0.25 * mu0.norm2()
     norm2 = mu0.norm2()
-    if norm2 == 0.0:
-        f_value = 0.0
-    else:
-        f_value = float(np.trace(ric_gamma @ ric_gamma)) / norm2**2
     eigen_ric = np.linalg.eigvalsh(h @ ric @ hinv)
     eigen_ric_gamma = np.linalg.eigvalsh(h @ ric_gamma @ hinv)
     return CurvatureReport(
         ric=ric,
-        scal=float(scal),
+        scal=-0.25 * norm2,
         ric_gamma=ric_gamma,
         moment=moment_map(tensor),
-        F_value=f_value,
+        F_value=F_of_ricci(ric_gamma, norm2),
         eigen_ric=[float(x) for x in eigen_ric],
         eigen_ric_gamma=[float(x) for x in eigen_ric_gamma],
     )

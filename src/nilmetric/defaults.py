@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ParseError
+
 # Relative Jacobi tolerance for accepting user-supplied structure constants.
 TOL_JACOBI = 1e-10
 
@@ -29,6 +31,7 @@ def certification_tolerance() -> float:
     """Certificate tolerance, honoring the NILMETRIC_TOL environment variable.
 
     Read at call time so tests and batch drivers can adjust it per run.
+    Raises ParseError when the variable is set but is not a positive number.
     """
     raw = os.environ.get(ENV_TOL)
     if raw is None:
@@ -36,5 +39,7 @@ def certification_tolerance() -> float:
     try:
         value = float(raw)
     except ValueError:
-        return TOL_CERT
-    return value if value > 0 else TOL_CERT
+        raise ParseError(f"{ENV_TOL}={raw!r} is not a number") from None
+    if not value > 0:
+        raise ParseError(f"{ENV_TOL}={raw!r} must be positive")
+    return value

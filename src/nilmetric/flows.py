@@ -21,21 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra_core import (
-    Bracket,
     Metric,
     SkewTensor,
     act,
+    as_tensor,
     coboundary,
+    combine,
+    expm,
     inner,
 )
-from .curvature import functional_F, invariant_ricci, scalar_curvature
+from .curvature import F_of_ricci, functional_F, invariant_ricci, scalar_curvature
 from .defaults import TOL_COMPAT
 from .errors import (
     IncompatibleMetric,
     InvalidBracket,
+    NilmetricError,
     NotCertifiedError,
     StepCollapse,
     ZeroTensor,
@@ -45,8 +47,11 @@ from .structures import (
     Structure,
     compatibility_residual,
     integrability_residual,
+    metric_jmap,
     no_structure,
+    normalized_jmap,
     structure_algebra,
+    with_defaults,
 )
 
 POLISH_THRESHOLD = 1e-3
@@ -91,10 +96,7 @@ class FlowTrace:
     converged: bool = False
     no_descent: bool = False
     states: list = field(default_factory=list)  # metric matrices at samples
-
-
-def _tensor_of(mu) -> SkewTensor:
-    return mu.tensor if isinstance(mu, Bracket) else mu
+    stop_reason: str = None  # metric_flow: "horizon" or "step_cap"
 
 
 def _unit(tensor: SkewTensor) -> SkewTensor:
@@ -122,15 +124,11 @@ def _flow_field(tensor: SkewTensor, gamma: Structure, G: np.ndarray,
 def _sample_row(tensor: SkewTensor, gamma: Structure, G: np.ndarray,
                 t: float) -> tuple:
     metric = Metric(G)
-    c, D0, residual, ric_gamma0, mu0 = _certificate_core(
+    _, _, residual, ric_gamma0, mu0 = _certificate_core(
         tensor, metric, gamma, allow_scale=True, check_cone=False)
     norm2 = mu0.norm2()
-    scal = -0.25 * norm2
-    if norm2 == 0.0:
-        f_value = 0.0
-    else:
-        f_value = float(np.trace(ric_gamma0 @ ric_gamma0)) / norm2**2
-    return (float(t), float(scal), float(f_value), float(residual))
+    return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma0, norm2),
+            float(residual))
 
 
 def metric_flow(mu, gamma: Structure, G0: Metric, cfg: FlowConfig = None,
@@ -143,9 +141,11 @@ def metric_flow(mu, gamma: Structure, G0: Metric, cfg: FlowConfig = None,
     normalized flow, when the scalar curvature drifts beyond 1e-8 in one
     step.  Raises StepCollapse when halving underflows, IncompatibleMetric
     when G0 is not compatible with the structure.  Symplectic trajectories
-    are followed in the conformal cone (the flow scales the form).
+    are followed in the conformal cone (the flow scales the form).  The
+    run stops at the horizon or after cfg.max_iter * 100 attempted steps;
+    trace.stop_reason says which ("horizon" or "step_cap").
     """
-    tensor = _tensor_of(mu)
+    tensor = as_tensor(mu)
     if cfg is None:
         cfg = FlowConfig()
     if gamma is None:
@@ -153,11 +153,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric, cfg: FlowConfig = None,
     if normalized is None:
         normalized = cfg.renorm
     if gamma.tag == "symplectic":
-        from .structures import metric_jmap
-        JG = metric_jmap(gamma, G0)
-        kappa = -float(np.trace(JG @ JG)) / gamma.dim
-        if kappa <= 0 or np.abs(JG @ JG + kappa * np.eye(gamma.dim)).max() > 1e-8 * kappa:
-            raise IncompatibleMetric("starting metric leaves the compatible cone")
+        normalized_jmap(metric_jmap(gamma, G0), allow_scale=True)
     elif compatibility_residual(gamma, G0) > TOL_COMPAT:
         raise IncompatibleMetric("starting metric is not compatible")
     sign = 1.0 if cfg.sign == "plus" else -1.0
@@ -174,30 +170,29 @@ def metric_flow(mu, gamma: Structure, G0: Metric, cfg: FlowConfig = None,
         iters += 1
         h_try = min(h, cfg.horizon - t)
         try:
+            k1 = _flow_field(tensor, gamma, G, sign, normalized)
             if cfg.integrator == "euler":
-                k1 = _flow_field(tensor, gamma, G, sign, normalized)
                 G_new = G + h_try * k1
             else:
-                k1 = _flow_field(tensor, gamma, G, sign, normalized)
                 k2 = _flow_field(tensor, gamma, G + 0.5 * h_try * k1, sign, normalized)
                 k3 = _flow_field(tensor, gamma, G + 0.5 * h_try * k2, sign, normalized)
                 k4 = _flow_field(tensor, gamma, G + h_try * k3, sign, normalized)
                 G_new = G + (h_try / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             G_new = 0.5 * (G_new + G_new.T)
             metric_new = Metric(G_new)
-        except Exception:
+        except (NilmetricError, np.linalg.LinAlgError):
+            metric_new = None
+        if metric_new is not None and normalized:
+            scal_new = scalar_curvature(tensor, metric_new)
+            if abs(scal_new - scal_prev) > 1e-8 * max(1.0, abs(scal_prev)):
+                metric_new = None
+            else:
+                scal_prev = scal_new
+        if metric_new is None:
             h = 0.5 * h
             if h < cfg.step * 2.0**-MAX_HALVINGS:
                 raise StepCollapse(f"step underflow at t = {t:.6g}")
             continue
-        if normalized:
-            scal_new = scalar_curvature(tensor, metric_new)
-            if abs(scal_new - scal_prev) > 1e-8 * max(1.0, abs(scal_prev)):
-                h = 0.5 * h
-                if h < cfg.step * 2.0**-MAX_HALVINGS:
-                    raise StepCollapse(f"step underflow at t = {t:.6g}")
-                continue
-            scal_prev = scal_new
         G = G_new
         t += h_try
         accepted += 1
@@ -207,6 +202,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric, cfg: FlowConfig = None,
             trace.states.append(G.copy())
     trace.final_state = Metric(G)
     trace.converged = bool(t >= cfg.horizon - 1e-12)
+    trace.stop_reason = "horizon" if t >= cfg.horizon - 1e-15 else "step_cap"
     return trace
 
 
@@ -232,10 +228,7 @@ def _descent_sample(tensor: SkewTensor, gamma: Structure, k: int) -> tuple:
 def _span_project(d: SkewTensor, basis: list) -> tuple:
     """Projection of d onto the span plus its coordinate vector."""
     coords = np.array([inner(d, b) for b in basis])
-    proj = SkewTensor.zero(d.dim)
-    for c, b in zip(coords, basis):
-        proj = proj.plus(b, c)
-    return proj, coords
+    return combine(coords, basis), coords
 
 
 def _orthonormalize_span(basis: list) -> list:
@@ -267,7 +260,7 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
     ZeroTensor on a zero start and InvalidBracket when the start violates
     the integrability precondition.
     """
-    tensor = _tensor_of(mu)
+    tensor = as_tensor(mu)
     if cfg is None:
         cfg = FlowConfig()
     if gamma is None:
@@ -365,12 +358,8 @@ def _polish(tensor: SkewTensor, gamma: Structure, cfg: FlowConfig,
 
     def move(T, xi, scale=1.0):
         if span is None:
-            generator = sum(c * B for c, B in zip(xi, basis))
-            return _unit(act(expm(scale * generator), T))
-        out = T
-        for c, b in zip(xi, basis):
-            out = out.plus(b, scale * c)
-        return _unit(out)
+            return _unit(act(expm(combine(scale * xi, basis)), T))
+        return _unit(T.plus(combine(xi, basis), scale))
 
     dvec = dvec_of(tensor)
     nd = float(np.linalg.norm(dvec)) * nd_factor
@@ -431,16 +420,12 @@ def soliton_selfsimilarity_check(mu, gamma: Structure = None,
                                  cfg: FlowConfig = None) -> SolitonReport:
     """Compare the integrated normalized flow against the closed-form
     self-similar candidate: the pullback of G0 through expm(-(t/2) D),
-    with D from the minimality certificate.
+    with D from the minimality certificate.  In the G0-orthonormal frame
+    D is symmetric, and the candidate is h^T expm(-t h D h^-1) h.
 
     Raises NotCertifiedError unless the certificate passes at the start.
     """
-    tensor = _tensor_of(mu)
-    n = tensor.dim
-    if gamma is None:
-        gamma = no_structure(n)
-    if G is None:
-        G = Metric.identity(n)
+    tensor, G, gamma = with_defaults(mu, G, gamma)
     if cfg is None:
         cfg = FlowConfig()
     cert = certify_minimal(tensor, G, gamma, allow_scale=True)
@@ -449,11 +434,12 @@ def soliton_selfsimilarity_check(mu, gamma: Structure = None,
             f"certificate residual {cert.residual:.3e} exceeds {cert.tolerance:.1e}"
         )
     trace = metric_flow(mu, gamma, G, cfg, normalized=True)
+    h = G.transport
+    D0 = h @ cert.D @ G.transport_inv
+    D0 = 0.5 * (D0 + D0.T)
     dev = 0.0
     for row, Gt in zip(trace.samples, trace.states):
-        t = row[0]
-        phi = expm(-0.5 * t * cert.D)
-        cand = phi.T @ G.matrix @ phi
+        cand = h.T @ expm(-row[0] * D0) @ h
         scale = max(float(np.abs(cand).max()), 1e-300)
         dev = max(dev, float(np.abs(Gt - cand).max()) / scale)
     return SolitonReport(max_deviation=dev, horizon=cfg.horizon,

@@ -18,19 +18,17 @@ import numpy as np
 
 from .algebra_core import Bracket, Metric, SkewTensor, _transported, coboundary
 from .curvature import curvature_report, invariant_ricci, ricci_operator
-from .defaults import TOL_COMPAT, TOL_DISTINGUISH, certification_tolerance
+from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import (
     DimensionMismatch,
-    IncompatibleMetric,
     NotApplicable,
     NotClosed,
     WrongTag,
 )
 from .structures import (
     Structure,
-    compatibility_residual,
     integrability_residual,
-    no_structure,
+    with_defaults,
 )
 
 MINIMAL = "Minimal"
@@ -91,16 +89,9 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     tolerance defaults to the package certification default, overridable
     per call or through the NILMETRIC_TOL environment variable.
     """
-    tensor = mu.tensor if isinstance(mu, Bracket) else mu
-    n = tensor.dim
-    if G is None:
-        G = Metric.identity(n)
-    if gamma is None:
-        gamma = no_structure(n)
+    tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:
         tol = certification_tolerance()
-    if gamma.tag != "symplectic" and compatibility_residual(gamma, G) > TOL_COMPAT:
-        raise IncompatibleMetric("metric is not compatible with the structure")
     c, D0, residual, _, _ = _certificate_core(tensor, G, gamma, allow_scale,
                                               check_cone)
     hinv = G.transport_inv
@@ -124,15 +115,11 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
     from .algebra_core import _center_split, _require_two_step
     from .errors import NotTwoStep
 
-    tensor = mu.tensor if isinstance(mu, Bracket) else mu
-    n = tensor.dim
-    if G is None:
-        G = Metric.identity(n)
-    if gamma is None:
-        gamma = no_structure(n)
+    tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:
         tol = certification_tolerance()
-    c0, D0, residual, ric_gamma0, mu0 = _certificate_core(tensor, G, gamma)
+    mu0, h, hinv = _transported(tensor, G)
+    ric_gamma0 = h @ invariant_ricci(tensor, G, gamma) @ hinv
     T0 = mu0.full()
     try:
         _require_two_step(T0)
@@ -162,8 +149,6 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
     residual = float(
         defect.norm() / ((1.0 + np.linalg.norm(D0)) * mu0.norm())
     )
-    hinv = G.transport_inv
-    h = G.transport
     verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
     return Certificate(c=c, D=hinv @ D0 @ h, residual=residual,
                        verdict=verdict, tolerance=float(tol))
@@ -185,10 +170,7 @@ def hermitian_obstruction(mu, G: Metric = None,
     Returns Abelian for the zero bracket; raises NotClosed when the form
     is not closed for the bracket.
     """
-    tensor = mu.tensor if isinstance(mu, Bracket) else mu
-    n = tensor.dim
-    if G is None:
-        G = Metric.identity(n)
+    tensor, G, _ = with_defaults(mu, G)
     if gamma is None or gamma.tag != "symplectic":
         raise WrongTag("the obstruction is specific to symplectic structures")
     if tensor.norm2() == 0.0:
@@ -221,14 +203,9 @@ def fingerprint(mu, G: Metric = None, gamma: Structure = None,
     structure-preserving orthogonal basis changes."""
     if not isinstance(mu, Bracket):
         mu = Bracket(mu)
-    n = mu.dim
-    if G is None:
-        G = Metric.identity(n)
-    if gamma is None:
-        gamma = no_structure(n)
     report = curvature_report(mu, G, gamma, allow_scale=allow_scale)
     return Fingerprint(
-        dim=n,
+        dim=mu.dim,
         eigen_ric=report.eigen_ric,
         eigen_ric_gamma=report.eigen_ric_gamma,
         scal=report.scal,

@@ -168,7 +168,10 @@ def _round_trip_float(x: float) -> float:
 
 def jsonable(value):
     """Recursively convert numerics, arrays and dataclass-like objects to
-    JSON-serializable structures with round-trippable floats."""
+    JSON-serializable structures with round-trippable floats.
+
+    Raises TypeError for any other object.
+    """
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, (float, np.floating)):
@@ -188,7 +191,7 @@ def jsonable(value):
     if hasattr(value, "__dataclass_fields__"):
         return {name: jsonable(getattr(value, name))
                 for name in value.__dataclass_fields__}
-    return str(value)
+    raise TypeError(f"cannot convert {type(value).__name__} to JSON")
 
 
 def bracket_records(tensor: SkewTensor) -> list:

@@ -22,6 +22,8 @@ import numpy as np
 from .algebra_core import (
     Metric,
     SkewTensor,
+    as_tensor,
+    combine,
     ordered_pairs,
     svd_nullspace,
     sym_basis,
@@ -62,6 +64,15 @@ class Structure:
 
 def no_structure(n: int) -> Structure:
     return Structure(NO_STRUCTURE, n)
+
+
+def with_defaults(mu, G: Metric = None, gamma: Structure = None) -> tuple:
+    """(tensor, G, gamma) for a Bracket or SkewTensor mu, with the identity
+    metric and no structure as defaults."""
+    tensor = as_tensor(mu)
+    n = tensor.dim
+    return (tensor, Metric.identity(n) if G is None else G,
+            no_structure(n) if gamma is None else gamma)
 
 
 def symplectic_structure(omega: np.ndarray) -> Structure:
@@ -111,6 +122,29 @@ def metric_jmap(gamma: Structure, G: Metric) -> np.ndarray:
     if gamma.tag != SYMPLECTIC:
         raise WrongTag("J_G is defined for symplectic structures")
     return np.linalg.solve(G.matrix, gamma.payload)
+
+
+def normalized_jmap(J: np.ndarray, allow_scale: bool,
+                    check_cone: bool = True) -> np.ndarray:
+    """J / sqrt(kappa) with kappa = -tr(J^2) / n, for a symplectic map J_G
+    in any frame; J^2 = -kappa I on the conformal compatible cone.
+
+    Raises IncompatibleMetric when kappa <= 0, when check_cone is set and
+    J^2 deviates from -kappa I beyond 1e-8 kappa, and when allow_scale is
+    not set and kappa differs from 1 beyond TOL_COMPAT.
+    """
+    n = J.shape[0]
+    J2 = J @ J
+    kappa = -float(np.trace(J2)) / n
+    if kappa <= 0:
+        raise IncompatibleMetric("metric leaves the conformal compatible cone")
+    if check_cone and np.abs(J2 + kappa * np.eye(n)).max() > 1e-8 * kappa:
+        raise IncompatibleMetric("metric leaves the conformal compatible cone")
+    if not allow_scale and abs(kappa - 1.0) > TOL_COMPAT:
+        raise IncompatibleMetric(
+            f"metric compatible only up to scale (kappa = {kappa:.6g})"
+        )
+    return J / np.sqrt(kappa)
 
 
 def compatibility_residual(gamma: Structure, G: Metric) -> float:
@@ -240,7 +274,11 @@ def _frame_constraint_rows(gamma: Structure, payload0, B: np.ndarray) -> np.ndar
 @dataclass(frozen=True)
 class StructureAlgebra:
     sym_basis: list
-    skew_dim: int
+    skew_basis: list
+
+    @property
+    def skew_dim(self) -> int:
+        return len(self.skew_basis)
 
 
 def _frame_algebra_parts(gamma: Structure, payload0, n: int):
@@ -252,18 +290,15 @@ def _frame_algebra_parts(gamma: Structure, payload0, n: int):
             [_frame_constraint_rows(gamma, payload0, B) for B in part]
         ).T
         ns = svd_nullspace(rows)
-        mats = [
-            sum(c * B for c, B in zip(col, part)) for col in ns.T
-        ]
-        parts.append(mats)
+        parts.append(list(combine(ns.T, part)))
     return parts
 
 
 def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
-    """Symmetric part of the structure algebra and the skew dimension.
+    """Bases of the G-symmetric and G-skew parts of the structure algebra.
 
-    Basis elements are G-symmetric; for non-identity metrics they are
-    computed in the Cholesky-transported frame and conjugated back.
+    For non-identity metrics they are computed in the Cholesky-transported
+    frame and conjugated back.
     """
     if compatibility_residual(gamma, G) > TOL_COMPAT:
         raise IncompatibleMetric("metric is not compatible with the structure")
@@ -271,42 +306,25 @@ def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
     sym_part, skew_part = _frame_algebra_parts(gamma, payload0, gamma.dim)
     hinv = G.transport_inv
     h = G.transport
-    mapped = [hinv @ A @ h for A in sym_part]
-    return StructureAlgebra(sym_basis=mapped, skew_dim=len(skew_part))
+    return StructureAlgebra(sym_basis=[hinv @ A @ h for A in sym_part],
+                            skew_basis=[hinv @ A @ h for A in skew_part])
 
 
 def structure_group_basis(gamma: Structure, G: Metric) -> list:
     """Full basis (symmetric plus skew parts) of the structure algebra,
     conjugated back to the G frame.  Used for orbit perturbations."""
-    if compatibility_residual(gamma, G) > TOL_COMPAT:
-        raise IncompatibleMetric("metric is not compatible with the structure")
-    payload0 = _transported_payload(gamma, G)
-    sym_part, skew_part = _frame_algebra_parts(gamma, payload0, gamma.dim)
-    hinv = G.transport_inv
-    h = G.transport
-    return [hinv @ A @ h for A in sym_part + skew_part]
+    algebra = structure_algebra(gamma, G)
+    return algebra.sym_basis + algebra.skew_basis
 
 
-def _frame_projection(gamma: Structure, payload0, S0: np.ndarray,
-                      allow_scale: bool, check_cone: bool = True) -> np.ndarray:
+def _frame_projection(gamma: Structure, payload0, S0: np.ndarray) -> np.ndarray:
     """Closed-form orthogonal projection onto the symmetric structure
-    algebra, in the orthonormal frame."""
-    n = S0.shape[0]
+    algebra, in the orthonormal frame (symplectic payload: normalized J)."""
     if gamma.tag == NO_STRUCTURE:
         return S0
     if gamma.tag == SYMPLECTIC:
-        J0 = payload0  # transported J_G
-        kappa = -float(np.trace(J0 @ J0)) / n
-        if kappa <= 0:
-            raise IncompatibleMetric("metric leaves the conformal compatible cone")
-        if check_cone and np.abs(J0 @ J0 + kappa * np.eye(n)).max() > 1e-8 * kappa:
-            raise IncompatibleMetric("metric leaves the conformal compatible cone")
-        if not allow_scale and abs(kappa - 1.0) > TOL_COMPAT:
-            raise IncompatibleMetric(
-                f"metric compatible only up to scale (kappa = {kappa:.6g})"
-            )
-        Jhat = J0 / np.sqrt(kappa)
-        return 0.5 * (S0 + Jhat @ S0 @ Jhat)
+        J0 = payload0
+        return 0.5 * (S0 + J0 @ S0 @ J0)
     if gamma.tag == COMPLEX:
         J0 = payload0
         return 0.5 * (S0 - J0 @ S0 @ J0)
@@ -343,21 +361,15 @@ def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
     S0 = h @ S @ hinv
     S0 = 0.5 * (S0 + S0.T)
     if gamma.tag == SYMPLECTIC:
-        payload0 = h @ metric_jmap(gamma, G) @ hinv
+        payload0 = normalized_jmap(h @ metric_jmap(gamma, G) @ hinv,
+                                   allow_scale, check_cone)
     else:
         payload0 = _transported_payload(gamma, G)
     if method == "closed":
-        P0 = _frame_projection(gamma, payload0, S0, allow_scale, check_cone)
+        P0 = _frame_projection(gamma, payload0, S0)
     elif method == "basis":
-        if gamma.tag == SYMPLECTIC:
-            kappa = -float(np.trace(payload0 @ payload0)) / n
-            if kappa <= 0:
-                raise IncompatibleMetric("metric leaves the conformal compatible cone")
-            if not allow_scale and abs(kappa - 1.0) > TOL_COMPAT:
-                raise IncompatibleMetric("metric compatible only up to scale")
-            payload0 = payload0 / np.sqrt(kappa)
         sym_part, _ = _frame_algebra_parts(gamma, payload0, n)
-        P0 = sum((float(np.sum(S0 * B)) * B for B in sym_part), np.zeros((n, n)))
+        P0 = combine([float(np.sum(S0 * B)) for B in sym_part], sym_part)
     else:
         raise ValueError(f"unknown projection method {method!r}")
     P0 = 0.5 * (P0 + P0.T)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilmetric as nm
-from nilmetric.algebra_core import ordered_pairs, svd_nullspace, sym_basis, skew_basis
+from nilmetric.algebra_core import (combine, expm, expm_skew, ordered_pairs,
+                                    svd_nullspace, sym_basis, skew_basis)
 
 TOL = 1e-12
 
@@ -217,3 +218,54 @@ def test_scaling_action_matches_tensor_scaling(coeffs, s):
     t = nm.SkewTensor.from_entries(4, entries)
     scaled = nm.act(np.eye(4) / s, t)
     assert np.abs(scaled.full() - s * t.full()).max() < 1e-10 * max(1.0, s)
+
+
+def test_expm_matches_scipy_on_symmetric_generators():
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        A = rng.standard_normal((6, 6))
+        S = 0.5 * (A + A.T)
+        want = scipy_expm(S)
+        got = expm(S)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expm_skew_is_orthogonal_and_matches_scipy():
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        A = rng.standard_normal((6, 6))
+        K = 0.5 * (A - A.T)
+        Q = expm_skew(K)
+        assert np.abs(Q.T @ Q - np.eye(6)).max() < 1e-13
+        assert np.abs(Q - scipy_expm(K)).max() < 1e-13
+
+
+def test_exponentials_reject_wrong_symmetry():
+    A = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(ValueError):
+        expm(A)
+    with pytest.raises(ValueError):
+        expm_skew(A)
+    with pytest.raises(ValueError):
+        expm_skew(A + A.T)
+
+
+def test_combine_equals_repeated_plus():
+    rng = np.random.default_rng(13)
+    basis = [nm.SkewTensor(5, rng.standard_normal((10, 5))) for _ in range(7)]
+    coeffs = rng.standard_normal(7)
+    loop = nm.SkewTensor.zero(5)
+    for c, b in zip(coeffs, basis):
+        loop = loop.plus(b, c)
+    got = combine(coeffs, basis)
+    assert np.abs(got.coeffs - loop.coeffs).max() < 1e-14
+    mats = [b.coeffs for b in basis]
+    assert np.abs(combine(coeffs, mats) - loop.coeffs).max() < 1e-14
+    rows = rng.standard_normal((3, 7))
+    stacked = combine(rows, mats)
+    for row, got in zip(rows, stacked):
+        assert np.abs(got - combine(row, mats)).max() < 1e-14

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: exit codes, JSON shape, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +134,20 @@ def test_certify_tolerance_from_env(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["tolerance"] == pytest.approx(1e3)
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_malformed_tolerance_env_is_an_error(capsys, tmp_path, monkeypatch,
+                                             raw):
+    p = nm.m26_point(1.0, 0.0)
+    path = write_problem(tmp_path, "m26.json", p.tensor, p.structure)
+    monkeypatch.setenv("NILMETRIC_TOL", raw)
+    with pytest.raises(nm.ParseError, match="NILMETRIC_TOL"):
+        nm.certification_tolerance()
+    code, out, err = run(capsys, ["certify", path])
+    assert code == 2
+    assert out == ""
+    assert "NILMETRIC_TOL" in err
+
+
 def test_flow_csv_and_summary(capsys, tmp_path):
     p = nm.heisenberg()
     path = write_problem(tmp_path, "heis.json", p.tensor)
@@ -140,6 +157,7 @@ def test_flow_csv_and_summary(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["converged"] is True
+    assert payload["stop_reason"] == "horizon"
     assert payload["t_final"] == pytest.approx(0.2, abs=1e-12)
     assert abs(payload["scal_final"] - payload["scal_initial"]) < 1e-8
     lines = csv_path.read_text().strip().splitlines()
@@ -207,3 +225,13 @@ def test_all_json_outputs_carry_format_header(capsys, tmp_path):
         payload = json.loads(out)
         assert payload["format"] == 1
         assert payload["tool"].startswith("nilmetric ")
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(nm.__file__).resolve().parents[1])
+    code = ("import sys, nilmetric.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

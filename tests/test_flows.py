@@ -199,3 +199,22 @@ def test_converged_descent_limit_is_flow_fixed_point():
     for row, Gt in zip(trace.samples, trace.states):
         phi = expm(-0.5 * row[0] * cert.D)
         assert np.abs(Gt - phi.T @ phi).max() < 1e-6
+
+
+def test_flow_step_cap_reports_stop_reason():
+    t = nm.heisenberg().tensor
+    cfg = nm.FlowConfig(step=1e-3, horizon=100, max_iter=5)
+    trace = nm.metric_flow(t, nm.no_structure(3), nm.Metric.identity(3), cfg)
+    assert not trace.converged
+    assert trace.stop_reason == "step_cap"
+    assert trace.samples[-1][0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_flow_does_not_swallow_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr("nilmetric.flows.invariant_ricci", broken)
+    with pytest.raises(TypeError, match="injected"):
+        nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
+                       nm.Metric.identity(3), nm.FlowConfig(horizon=0.1))

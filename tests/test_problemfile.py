@@ -161,3 +161,8 @@ def test_jsonable_handles_numpy_scalars_and_nested():
                     "c": [np.arange(2.0)], "d": (1, 2)})
     assert out == {"a": 0.1, "b": 3, "c": [[0.0, 1.0]], "d": [1, 2]}
     assert json.dumps(out)
+
+
+def test_jsonable_rejects_unknown_objects():
+    with pytest.raises(TypeError, match="object"):
+        jsonable({"a": [object()]})
