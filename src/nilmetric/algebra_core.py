@@ -13,8 +13,11 @@ Conventions used throughout the package:
 - ``coboundary(mu, A)`` is delta_mu(A) = A mu(., .) - mu(A., .) - mu(., A.),
   so delta_mu(I) = -mu.
 - General metrics are handled by Cholesky transport: with G = L L^T and
-  h = L^T, computations run on act(h, mu) in the identity frame and the
-  results are conjugated back.
+  h = L^T, the bracket is moved once into the G-orthonormal frame
+  (``_transported``, act(h, mu)), where the metric is the identity.  All
+  curvature is computed there by one kernel (``curvature.frame_curvature``),
+  and an operator is conjugated back at most once (``_from_frame``,
+  h^-1 A h).
 """
 
 from __future__ import annotations
@@ -408,12 +411,14 @@ def symmetric_derivation_basis(mu) -> list:
     return out
 
 
-def _transported(mu: SkewTensor, G: Metric):
-    """Tensor in the G-orthonormal frame, with the transport h."""
-    h = G.transport
-    if G.is_identity():
-        return mu, h, G.transport_inv
-    return act(h, mu), h, G.transport_inv
+def _transported(mu: SkewTensor, G: Metric) -> SkewTensor:
+    """The tensor in the G-orthonormal frame, act(h, mu) with G = h^T h."""
+    return mu if G.is_identity() else act(G.transport, mu)
+
+
+def _from_frame(A: np.ndarray, G: Metric) -> np.ndarray:
+    """An operator of the G-orthonormal frame in the original frame, h^-1 A h."""
+    return A if G.is_identity() else G.transport_inv @ A @ G.transport
 
 
 def _center_split(T0: np.ndarray):
@@ -444,11 +449,10 @@ def j_operator(mu: Bracket, G: Metric, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (mu.dim,):
         raise DimensionMismatch(f"center vector shape {Z.shape}")
-    mu0, h, hinv = _transported(mu.tensor, G)
-    T0 = mu0.full()
+    T0 = _transported(mu.tensor, G).full()
     _require_two_step(T0)
-    j0 = np.einsum("bak,k->ab", T0, h @ Z)
-    return hinv @ j0 @ h
+    j0 = np.einsum("bak,k->ab", T0, G.transport @ Z)
+    return _from_frame(j0, G)
 
 
 def htype_classify(mu: Bracket, G: Metric, samples: int = 8) -> str:
@@ -458,8 +462,7 @@ def htype_classify(mu: Bracket, G: Metric, samples: int = 8) -> str:
     ModifiedHType needs j(Z)^2 to be a negative scalar for every tested Z,
     HType additionally needs that scalar to equal -<Z, Z>.
     """
-    mu0, _, _ = _transported(mu.tensor, G)
-    T0 = mu0.full()
+    T0 = _transported(mu.tensor, G).full()
     _require_two_step(T0)
     Q1, Q2 = _center_split(T0)
     if Q2.shape[1] == 0:

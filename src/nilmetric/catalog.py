@@ -31,15 +31,13 @@ from .errors import (
 )
 from .structures import (
     Structure,
-    abelian_defect,
     compatibility_residual,
     complex_structure,
     graded_ambient_basis,
     hypercomplex_structure,
-    integrability_defect,
     integrability_residual,
+    integrable_nullspace,
     no_structure,
-    svd_nullspace,
     symplectic_structure,
 )
 
@@ -299,16 +297,10 @@ def hypercomplex_ambient(n1: int = 4, n2: int = 4) -> HypercomplexAmbient:
     24, 16 and 12 for the standard 4 + 4 splitting)."""
     structure = standard_structure("hypercomplex", n1 + n2)
     basis = graded_ambient_basis(n1, n2)
-    rows_int = np.array([integrability_defect(structure, b) for b in basis]).T
-    ns = svd_nullspace(rows_int)
-    integrable = [combine(col, basis) for col in ns.T]
-    rows_ab = np.array([
-        np.concatenate([integrability_defect(structure, b),
-                        abelian_defect(structure, b)])
-        for b in basis
-    ]).T
-    ns_ab = svd_nullspace(rows_ab)
-    abelian = [combine(col, basis) for col in ns_ab.T]
+    integrable = [combine(col, basis)
+                  for col in integrable_nullspace(structure, basis).T]
+    abelian = [combine(col, basis)
+               for col in integrable_nullspace(structure, basis, True).T]
     return HypercomplexAmbient(basis=basis, integrable_basis=integrable,
                                abelian_basis=abelian, structure=structure)
 

@@ -103,13 +103,7 @@ def cmd_certify(args) -> int:
     cert = certify_minimal(problem.tensor, problem.metric, problem.structure,
                            tol=tol)
     payload = _header()
-    payload.update({
-        "c": cert.c,
-        "D": cert.D,
-        "residual": cert.residual,
-        "verdict": cert.verdict,
-        "tolerance": cert.tolerance,
-    })
+    payload.update(jsonable(cert))
     _emit(payload)
     return 0 if cert.minimal else 3
 
@@ -119,8 +113,7 @@ def cmd_flow(args) -> int:
     cfg = FlowConfig(step=args.step, horizon=args.horizon, sign=args.sign,
                      renorm=not args.unnormalized,
                      integrator=args.integrator)
-    trace = metric_flow(problem.tensor, problem.structure, problem.metric,
-                        cfg, normalized=not args.unnormalized)
+    trace = metric_flow(problem.tensor, problem.structure, problem.metric, cfg)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -167,6 +160,7 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, cfg, scale):
         "start": index,
         "converged": trace.converged,
         "no_descent": trace.no_descent,
+        "stop_reason": trace.stop_reason,
         "iterations": len(trace.samples) - 1,
         "F_final": trace.samples[-1][2],
         "residual": cert.residual,
@@ -198,13 +192,7 @@ def cmd_search(args) -> int:
             "start": best["start"],
             "F_final": best["F_final"],
             "converged": best["converged"],
-            "certificate": {
-                "c": cert.c,
-                "D": cert.D,
-                "residual": cert.residual,
-                "verdict": cert.verdict,
-                "tolerance": cert.tolerance,
-            },
+            "certificate": cert,
             "bracket": best["_final"],
         },
     })

@@ -1,8 +1,11 @@
 """Ricci operator, scalar curvature, moment map, invariant Ricci operator
 and the normalized curvature functional on brackets.
 
-All curvature formulas are evaluated in a G-orthonormal frame obtained by
-Cholesky transport and conjugated back, so operators returned in the
+All curvature comes from one kernel, ``frame_curvature``: given a bracket
+and the structure payload in an orthonormal frame, it returns the
+symmetric Ric and Ric^gamma with |mu|^2.  Each entry point for a metric G
+transports the bracket once into the G-orthonormal frame, calls the
+kernel, and conjugates an operator back at most once, so operators in the
 original frame are G-self-adjoint rather than plain-symmetric.
 """
 
@@ -12,40 +15,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Metric, _transported, as_tensor
-from .errors import ZeroTensor
-from .structures import Structure, invariant_projection, with_defaults
+from .algebra_core import Metric, SkewTensor, _from_frame, _transported, as_tensor
+from .errors import DimensionMismatch, ZeroTensor
+from .structures import (
+    Structure,
+    _frame_projection,
+    _transported_payload,
+    with_defaults,
+)
 
 
-def _frame_ricci(T0: np.ndarray) -> np.ndarray:
-    """Ricci operator of a structure tensor at the identity metric."""
-    n = T0.shape[0]
+def frame_curvature(mu0: SkewTensor, gamma: Structure, payload0) -> tuple:
+    """(Ric, Ric^gamma, |mu|^2) of a bracket in an orthonormal frame, with
+    payload0 the structure's payload in that frame (_transported_payload).
+
+    Both operators are symmetric; Ric^gamma is the orthogonal projection of
+    Ric onto the symmetric structure algebra, Ric itself for NoStructure.
+    """
+    n = mu0.dim
+    if gamma.dim != n:
+        raise DimensionMismatch(f"structure dim {gamma.dim} vs tensor dim {n}")
+    T0 = mu0.full()
     flat_first = T0.reshape(n, n * n)                     # pij,qij->pq
-    M1 = flat_first @ flat_first.T
     flat_last = T0.reshape(n * n, n)                      # ijp,ijq->pq
-    M2 = flat_last.T @ flat_last
-    return -0.5 * M1 + 0.25 * M2
+    ric = -0.5 * (flat_first @ flat_first.T) + 0.25 * (flat_last.T @ flat_last)
+    ric = 0.5 * (ric + ric.T)
+    ric_gamma = _frame_projection(gamma, payload0, ric)
+    return ric, 0.5 * (ric_gamma + ric_gamma.T), mu0.norm2()
+
+
+def _frame_data(mu, G: Metric, gamma: Structure, allow_scale: bool = False):
+    """(mu0, Ric, Ric^gamma, |mu|^2) in the G-orthonormal frame."""
+    mu0 = _transported(as_tensor(mu), G)
+    return (mu0,) + frame_curvature(
+        mu0, gamma, _transported_payload(gamma, G, allow_scale))
 
 
 def ricci_operator(mu, G: Metric = None) -> np.ndarray:
     """Ricci operator of (mu, G); G-self-adjoint, symmetric when G = I."""
-    tensor = as_tensor(mu)
-    if G is None:
-        G = Metric.identity(tensor.dim)
-    mu0, h, hinv = _transported(tensor, G)
-    R0 = _frame_ricci(mu0.full())
-    if G.is_identity():
-        return R0
-    return hinv @ R0 @ h
+    tensor, G, gamma = with_defaults(mu, G)
+    _, ric, _, _ = _frame_data(tensor, G, gamma)
+    return _from_frame(ric, G)
 
 
 def scalar_curvature(mu, G: Metric = None) -> float:
     """Scalar curvature; equals -1/4 |mu|^2 exactly at the identity metric."""
     tensor = as_tensor(mu)
-    if G is None or G.is_identity():
+    if G is None:
         return -0.25 * tensor.norm2()
-    mu0, _, _ = _transported(tensor, G)
-    return -0.25 * mu0.norm2()
+    return -0.25 * _transported(tensor, G).norm2()
 
 
 def moment_map(mu) -> np.ndarray:
@@ -57,20 +75,15 @@ def moment_map(mu) -> np.ndarray:
 
 
 def invariant_ricci(mu, G: Metric, gamma: Structure,
-                    method: str = "closed",
-                    allow_scale: bool = False,
-                    check_cone: bool = True) -> np.ndarray:
+                    allow_scale: bool = False) -> np.ndarray:
     """Projection of the Ricci operator onto the symmetric structure algebra.
 
     Equals the Ricci operator itself for NoStructure.  allow_scale admits
-    symplectic metrics compatible only up to a positive factor; check_cone
-    controls the symplectic cone assertion (see invariant_projection).
+    symplectic metrics compatible only up to a positive factor (see
+    invariant_projection).
     """
-    ric = ricci_operator(mu, G)
-    if gamma.tag == "none":
-        return ric
-    return invariant_projection(gamma, G, ric, method=method,
-                                allow_scale=allow_scale, check_cone=check_cone)
+    _, _, ric_gamma, _ = _frame_data(mu, G, gamma, allow_scale)
+    return _from_frame(ric_gamma, G)
 
 
 def F_of_ricci(ric_gamma: np.ndarray, norm2: float) -> float:
@@ -90,11 +103,11 @@ def functional_F(mu, gamma: Structure = None, G: Metric = None,
     evaluates the same quantity for the transported bracket.
     """
     tensor, G, gamma = with_defaults(mu, G, gamma)
-    mu0, _, _ = _transported(tensor, G)
-    norm2 = mu0.norm2()
-    if norm2 == 0.0:
+    mu0 = _transported(tensor, G)
+    if mu0.norm2() == 0.0:
         raise ZeroTensor("the functional is undefined at mu = 0")
-    ric_gamma = invariant_ricci(tensor, G, gamma, allow_scale=allow_scale)
+    _, ric_gamma, norm2 = frame_curvature(
+        mu0, gamma, _transported_payload(gamma, G, allow_scale))
     return F_of_ricci(ric_gamma, norm2)
 
 
@@ -118,18 +131,13 @@ def curvature_report(mu, G: Metric = None, gamma: Structure = None,
     of the raw tensor.  F_value is 0 for the zero tensor.
     """
     tensor, G, gamma = with_defaults(mu, G, gamma)
-    mu0, h, hinv = _transported(tensor, G)
-    ric = ricci_operator(tensor, G)
-    ric_gamma = invariant_ricci(tensor, G, gamma, allow_scale=allow_scale)
-    norm2 = mu0.norm2()
-    eigen_ric = np.linalg.eigvalsh(h @ ric @ hinv)
-    eigen_ric_gamma = np.linalg.eigvalsh(h @ ric_gamma @ hinv)
+    _, ric0, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
     return CurvatureReport(
-        ric=ric,
+        ric=_from_frame(ric0, G),
         scal=-0.25 * norm2,
-        ric_gamma=ric_gamma,
+        ric_gamma=_from_frame(ric_gamma0, G),
         moment=moment_map(tensor),
-        F_value=F_of_ricci(ric_gamma, norm2),
-        eigen_ric=[float(x) for x in eigen_ric],
-        eigen_ric_gamma=[float(x) for x in eigen_ric_gamma],
+        F_value=F_of_ricci(ric_gamma0, norm2),
+        eigen_ric=[float(x) for x in np.linalg.eigvalsh(ric0)],
+        eigen_ric_gamma=[float(x) for x in np.linalg.eigvalsh(ric_gamma0)],
     )

@@ -2,6 +2,12 @@
 sphere-constrained gradient descent of the curvature functional on
 brackets, plus the self-similarity check for certified solitons.
 
+Both call the curvature kernel once per bracket they visit.  The metric
+flow is a bracket flow (Lauret, "The Ricci flow for simply connected
+nilmanifolds", Comm. Anal. Geom. 19, 2011): G = h^T h with h' = s/2 (R -
+(tr R^2 / scal) I) h, R the Ric^gamma of act(h, mu) at the identity.  The
+structure's frame payload stays fixed along it.
+
 The bracket descent runs in two phases.  Phase one follows the orbit
 retraction mu <- normalize(act(expm(-eta * Ric^gamma), mu)) with a
 backtracking line search on the functional; the velocity of that curve is
@@ -18,7 +24,7 @@ rounding level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,24 +38,20 @@ from .algebra_core import (
     expm,
     inner,
 )
-from .curvature import F_of_ricci, functional_F, invariant_ricci, scalar_curvature
-from .defaults import TOL_COMPAT
+from .curvature import F_of_ricci, frame_curvature
 from .errors import (
-    IncompatibleMetric,
     InvalidBracket,
     NilmetricError,
     NotCertifiedError,
     StepCollapse,
     ZeroTensor,
 )
-from .minimality import _certificate_core, certify_minimal
+from .minimality import certify_minimal, frame_certificate
 from .structures import (
     Structure,
-    compatibility_residual,
+    _transported_payload,
     integrability_residual,
-    metric_jmap,
     no_structure,
-    normalized_jmap,
     structure_algebra,
     with_defaults,
 )
@@ -96,7 +98,7 @@ class FlowTrace:
     converged: bool = False
     no_descent: bool = False
     states: list = field(default_factory=list)  # metric matrices at samples
-    stop_reason: str = None  # metric_flow: "horizon" or "step_cap"
+    stop_reason: str = None  # see metric_flow and bracket_descent
 
 
 def _unit(tensor: SkewTensor) -> SkewTensor:
@@ -106,104 +108,124 @@ def _unit(tensor: SkewTensor) -> SkewTensor:
     return tensor.scaled(1.0 / norm)
 
 
-def _flow_field(tensor: SkewTensor, gamma: Structure, G: np.ndarray,
-                sign: float, normalized: bool) -> np.ndarray:
-    metric = Metric(G)
-    ric_gamma = invariant_ricci(tensor, metric, gamma, allow_scale=True,
-                                check_cone=False)
-    dG = sign * (G @ ric_gamma)
-    dG = 0.5 * (dG + dG.T)
-    if normalized:
-        scal = scalar_curvature(tensor, metric)
+def _evaluate(tensor: SkewTensor, gamma: Structure, payload0) -> tuple:
+    """(tensor, Ric^gamma, |mu|^2) of a bracket at the identity metric."""
+    _, ric_gamma, norm2 = frame_curvature(tensor, gamma, payload0)
+    return tensor, ric_gamma, norm2
+
+
+def _sample_row(point: tuple, t: float) -> tuple:
+    """Trace row (t, scal, F, certificate residual) of an evaluated bracket."""
+    tensor, ric_gamma, norm2 = point
+    _, _, residual = frame_certificate(tensor, ric_gamma, norm2)
+    return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma, norm2), residual)
+
+
+def _flow_field(tensor: SkewTensor, gamma: Structure, h: np.ndarray,
+                payload0, sign: float, renorm: bool) -> np.ndarray:
+    """h' for the frame h; G = h^T h then solves the metric flow."""
+    _, ric_gamma, norm2 = frame_curvature(act(h, tensor), gamma, payload0)
+    A = ric_gamma
+    if renorm:
+        scal = -0.25 * norm2
         if abs(scal) > 1e-13:
-            trace2 = float(np.trace(ric_gamma @ ric_gamma))
-            dG = dG - sign * (trace2 / scal) * G
-    return dG
+            A = A - (float(np.trace(A @ A)) / scal) * np.eye(len(h))
+    return (0.5 * sign) * (A @ h)
 
 
-def _sample_row(tensor: SkewTensor, gamma: Structure, G: np.ndarray,
-                t: float) -> tuple:
-    metric = Metric(G)
-    _, _, residual, ric_gamma0, mu0 = _certificate_core(
-        tensor, metric, gamma, allow_scale=True, check_cone=False)
-    norm2 = mu0.norm2()
-    return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma0, norm2),
-            float(residual))
+def metric_flow(mu, gamma: Structure, G0: Metric,
+                cfg: FlowConfig = None) -> FlowTrace:
+    """Integrate dG/dt = s G Ric^gamma_G, with the trace term that freezes
+    the scalar curvature when cfg.renorm is set, s = +-1 per cfg.sign.
 
-
-def metric_flow(mu, gamma: Structure, G0: Metric, cfg: FlowConfig = None,
-                normalized: bool = None) -> FlowTrace:
-    """Integrate dG/dt = s G Ric^gamma_G, optionally with the trace term
-    that freezes the scalar curvature, s = +-1 per cfg.sign.
-
-    Fixed-step integration (rk4 or euler); a step is rejected and halved
-    when the update leaves the positive-definite cone or, for the
-    normalized flow, when the scalar curvature drifts beyond 1e-8 in one
-    step.  Raises StepCollapse when halving underflows, IncompatibleMetric
-    when G0 is not compatible with the structure.  Symplectic trajectories
-    are followed in the conformal cone (the flow scales the form).  The
-    run stops at the horizon or after cfg.max_iter * 100 attempted steps;
-    trace.stop_reason says which ("horizon" or "step_cap").
+    The state is a frame h with G = h^T h, starting at the Cholesky
+    transport of G0 (see the module docstring); G is formed only at the
+    samples and at the end.  Fixed-step integration (rk4 or euler); a step
+    is rejected and halved when its change of G leaves the positive-definite
+    cone, when the new frame is singular or, for the normalized flow, when
+    the scalar curvature drifts beyond 1e-8 in one step.  Raises
+    StepCollapse when halving underflows, IncompatibleMetric when G0 is not
+    compatible with the structure.  Symplectic trajectories are followed in
+    the conformal cone (the flow scales the form).  The run stops at the
+    horizon or after cfg.max_iter * 100 attempted steps; trace.stop_reason
+    says which ("horizon" or "step_cap").
     """
     tensor = as_tensor(mu)
     if cfg is None:
         cfg = FlowConfig()
     if gamma is None:
         gamma = no_structure(tensor.dim)
-    if normalized is None:
-        normalized = cfg.renorm
-    if gamma.tag == "symplectic":
-        normalized_jmap(metric_jmap(gamma, G0), allow_scale=True)
-    elif compatibility_residual(gamma, G0) > TOL_COMPAT:
-        raise IncompatibleMetric("starting metric is not compatible")
+    payload0 = _transported_payload(gamma, G0, allow_scale=True)
     sign = 1.0 if cfg.sign == "plus" else -1.0
-    G = G0.matrix.copy()
+
+    def field(state):
+        return _flow_field(tensor, gamma, state, payload0, sign, cfg.renorm)
+
+    h = G0.transport
     t = 0.0
-    h = cfg.step
+    dt = cfg.step
     trace = FlowTrace()
-    trace.samples.append(_sample_row(tensor, gamma, G, t))
-    trace.states.append(G.copy())
-    scal_prev = scalar_curvature(tensor, Metric(G))
+    point = _evaluate(act(h, tensor), gamma, payload0)
+    trace.samples.append(_sample_row(point, t))
+    trace.states.append(h.T @ h)
+    scal = -0.25 * point[2]
     iters = 0
     accepted = 0
     while t < cfg.horizon - 1e-15 and iters < cfg.max_iter * 100:
         iters += 1
-        h_try = min(h, cfg.horizon - t)
+        dt_try = min(dt, cfg.horizon - t)
         try:
-            k1 = _flow_field(tensor, gamma, G, sign, normalized)
+            k1 = field(h)
             if cfg.integrator == "euler":
-                G_new = G + h_try * k1
+                h_new = h + dt_try * k1
+                dG = dt_try * (h.T @ k1)
             else:
-                k2 = _flow_field(tensor, gamma, G + 0.5 * h_try * k1, sign, normalized)
-                k3 = _flow_field(tensor, gamma, G + 0.5 * h_try * k2, sign, normalized)
-                k4 = _flow_field(tensor, gamma, G + h_try * k3, sign, normalized)
-                G_new = G + (h_try / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            G_new = 0.5 * (G_new + G_new.T)
-            metric_new = Metric(G_new)
+                h2 = h + 0.5 * dt_try * k1
+                k2 = field(h2)
+                h3 = h + 0.5 * dt_try * k2
+                k3 = field(h3)
+                h4 = h + dt_try * k3
+                k4 = field(h4)
+                h_new = h + (dt_try / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                dG = (dt_try / 6.0) * (h.T @ k1 + 2 * h2.T @ k2
+                                       + 2 * h3.T @ k3 + h4.T @ k4)
+            # G plus dt times the RK4 combination of the stage velocities
+            # of G = h^T h must stay positive definite, as it had to when G
+            # was the state: a step across a blow-up of the flow fails here
+            np.linalg.cholesky(h.T @ h + dG + dG.T)
+            mu_new = act(h_new, tensor)
         except (NilmetricError, np.linalg.LinAlgError):
-            metric_new = None
-        if metric_new is not None and normalized:
-            scal_new = scalar_curvature(tensor, metric_new)
-            if abs(scal_new - scal_prev) > 1e-8 * max(1.0, abs(scal_prev)):
-                metric_new = None
+            mu_new = None
+        if mu_new is not None and cfg.renorm:
+            scal_new = -0.25 * mu_new.norm2()
+            if abs(scal_new - scal) > 1e-8 * max(1.0, abs(scal)):
+                mu_new = None
             else:
-                scal_prev = scal_new
-        if metric_new is None:
-            h = 0.5 * h
-            if h < cfg.step * 2.0**-MAX_HALVINGS:
+                scal = scal_new
+        if mu_new is None:
+            dt = 0.5 * dt
+            if dt < cfg.step * 2.0**-MAX_HALVINGS:
                 raise StepCollapse(f"step underflow at t = {t:.6g}")
             continue
-        G = G_new
-        t += h_try
+        h = h_new
+        t += dt_try
         accepted += 1
         at_end = t >= cfg.horizon - 1e-15
         if accepted % cfg.sample_every == 0 or at_end:
-            trace.samples.append(_sample_row(tensor, gamma, G, t))
-            trace.states.append(G.copy())
-    trace.final_state = Metric(G)
+            trace.samples.append(_sample_row(_evaluate(mu_new, gamma, payload0), t))
+            trace.states.append(h.T @ h)
+    trace.final_state = Metric(h.T @ h)
     trace.converged = bool(t >= cfg.horizon - 1e-12)
     trace.stop_reason = "horizon" if t >= cfg.horizon - 1e-15 else "step_cap"
     return trace
+
+
+def _direction(point: tuple) -> SkewTensor:
+    """Minus the tangential part of the coboundary of Ric^gamma."""
+    tensor, ric_gamma, _ = point
+    delta = coboundary(tensor, ric_gamma)
+    radial = inner(delta, tensor) / tensor.norm2()
+    return delta.plus(tensor, -radial).scaled(-1.0)
 
 
 def descent_direction(tensor: SkewTensor, gamma: Structure) -> SkewTensor:
@@ -212,17 +234,14 @@ def descent_direction(tensor: SkewTensor, gamma: Structure) -> SkewTensor:
 
     The finite-difference identity dF(d / |d|) = -|d| holds at unit norm.
     """
-    ric_gamma = invariant_ricci(tensor, Metric.identity(tensor.dim), gamma)
-    delta = coboundary(tensor, ric_gamma)
-    radial = inner(delta, tensor) / tensor.norm2()
-    return delta.plus(tensor, -radial).scaled(-1.0)
+    payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
+    return _direction(_evaluate(tensor, gamma, payload0))
 
 
-def _descent_sample(tensor: SkewTensor, gamma: Structure, k: int) -> tuple:
-    scal = -0.25 * tensor.norm2()
-    f_value = functional_F(tensor, gamma)
-    cert = certify_minimal(tensor, Metric.identity(tensor.dim), gamma)
-    return (float(k), float(scal), float(f_value), float(cert.residual))
+def _descent_sample(point: tuple, k: int) -> tuple:
+    """The descent's trace row (iteration, scal, F, certificate residual);
+    a name apart from the flow's _sample_row, so profiles tell them apart."""
+    return _sample_row(point, k)
 
 
 def _span_project(d: SkewTensor, basis: list) -> tuple:
@@ -255,10 +274,13 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
     of V) the updates are linear combinations within that slice and the
     direction is projected onto it.
 
-    The trace samples are (iteration, scal, F, certificate residual); the
-    no_descent flag reports a failed line search (not fatal).  Raises
-    ZeroTensor on a zero start and InvalidBracket when the start violates
-    the integrability precondition.
+    The trace samples are (iteration, scal, F, certificate residual).  The
+    no_descent flag reports a run that did not converge (not fatal), and
+    stop_reason says why the run stopped: "converged", "line_search" (no
+    step decreased the functional), "stall" (the Gauss-Newton phase stopped
+    making progress) or "iteration_cap".  Raises ZeroTensor on a zero start
+    and InvalidBracket when the start violates the integrability
+    precondition.
     """
     tensor = as_tensor(mu)
     if cfg is None:
@@ -271,36 +293,39 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
         raise InvalidBracket(
             f"starting bracket violates integrability (residual {res0:.3e})"
         )
+    payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
     span = _orthonormalize_span(subspace) if subspace is not None else None
 
-    def direction(T):
-        d = descent_direction(T, gamma)
+    def direction(point):
+        d = _direction(point)
         if span is not None:
             d, _ = _span_project(d, span)
         return d
 
     trace = FlowTrace()
     k = 0
-    trace.samples.append(_descent_sample(tensor, gamma, k))
+    point = _evaluate(tensor, gamma, payload0)
+    trace.samples.append(_descent_sample(point, k))
     f_cur = trace.samples[-1][2]
-    best = (np.inf, tensor)
+    best = (np.inf, point)
     polish_from = None
     for _ in range(cfg.max_iter):
-        d = direction(tensor)
+        d = direction(point)
         nd = d.norm()
         if nd < best[0]:
-            best = (nd, tensor)
+            best = (nd, point)
         if nd <= cfg.tol_converge:
-            trace.final_state = tensor
+            trace.final_state = point[0]
             trace.converged = True
+            trace.stop_reason = "converged"
             return trace
         if nd <= POLISH_THRESHOLD:
-            polish_from = tensor
+            polish_from = point
             break
         if nd > ESCAPE_FACTOR * best[0] and best[0] < 1e-2:
             polish_from = best[1]
             break
-        ric_gamma = invariant_ricci(tensor, Metric.identity(tensor.dim), gamma)
+        tensor, ric_gamma, _ = point
         eta = 1.0
         accepted = None
         while eta > 2.0**-MAX_HALVINGS:
@@ -308,7 +333,8 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
                 cand = _unit(act(expm(-eta * ric_gamma), tensor))
             else:
                 cand = _unit(tensor.plus(d, eta))
-            f_new = functional_F(cand, gamma)
+            cand = _evaluate(cand, gamma, payload0)
+            f_new = F_of_ricci(cand[1], cand[2])
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
                 accepted = (cand, f_new)
                 break
@@ -317,31 +343,34 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
             trace.no_descent = True
             trace.final_state = tensor
             trace.converged = False
+            trace.stop_reason = "line_search"
             return trace
-        tensor, f_cur = accepted
+        point, f_cur = accepted
         k += 1
-        trace.samples.append(_descent_sample(tensor, gamma, k))
+        trace.samples.append(_descent_sample(point, k))
+    reason = "iteration_cap"
     if polish_from is None:
         polish_from = best[1] if best[0] < 1e-2 else None
     if polish_from is not None:
-        tensor, f_cur, k = _polish(polish_from, gamma, cfg, span, trace, k, f_cur)
-    d = direction(tensor)
-    trace.final_state = tensor
-    trace.converged = bool(d.norm() <= cfg.tol_converge)
-    if not trace.converged and not trace.no_descent:
-        trace.no_descent = True
+        point, f_cur, k, reason = _polish(polish_from, gamma, payload0, cfg,
+                                          span, trace, k, f_cur)
+    trace.final_state = point[0]
+    trace.converged = bool(direction(point).norm() <= cfg.tol_converge)
+    trace.no_descent = not trace.converged
+    trace.stop_reason = "converged" if trace.converged else reason
     return trace
 
 
-def _polish(tensor: SkewTensor, gamma: Structure, cfg: FlowConfig,
+def _polish(point: tuple, gamma: Structure, payload0, cfg: FlowConfig,
             span: list, trace: FlowTrace, k: int, f_cur: float):
     """Damped Gauss-Newton on the direction vector.
 
     Orbit mode solves for a structure-group generator; subspace mode for
     slice coordinates.  Steps are accepted when the direction norm drops
-    and the functional does not increase beyond rounding.
+    and the functional does not increase beyond rounding.  Returns the
+    last point, F, iteration count and the reason the iteration stopped.
     """
-    n = tensor.dim
+    n = point[0].dim
     if span is None:
         basis = structure_algebra(gamma, Metric.identity(n)).sym_basis
     else:
@@ -349,8 +378,8 @@ def _polish(tensor: SkewTensor, gamma: Structure, cfg: FlowConfig,
 
     nd_factor = 1.0 if span is not None else np.sqrt(2.0)
 
-    def dvec_of(T):
-        d = descent_direction(T, gamma)
+    def dvec_of(p):
+        d = _direction(p)
         if span is not None:
             _, coords = _span_project(d, span)
             return coords
@@ -358,15 +387,20 @@ def _polish(tensor: SkewTensor, gamma: Structure, cfg: FlowConfig,
 
     def move(T, xi, scale=1.0):
         if span is None:
-            return _unit(act(expm(combine(scale * xi, basis)), T))
-        return _unit(T.plus(combine(xi, basis), scale))
+            T = _unit(act(expm(combine(scale * xi, basis)), T))
+        else:
+            T = _unit(T.plus(combine(xi, basis), scale))
+        return _evaluate(T, gamma, payload0)
 
-    dvec = dvec_of(tensor)
+    dvec = dvec_of(point)
     nd = float(np.linalg.norm(dvec)) * nd_factor
     stalls = 0
+    reason = "iteration_cap"
     for _ in range(MAX_POLISH_ITERS):
         if nd <= cfg.tol_converge:
+            reason = "converged"
             break
+        tensor = point[0]
         J = np.empty((dvec.size, len(basis)))
         for i in range(len(basis)):
             xi = np.zeros(len(basis))
@@ -390,22 +424,24 @@ def _polish(tensor: SkewTensor, gamma: Structure, cfg: FlowConfig,
             cand = move(tensor, step, alpha)
             dvec_new = dvec_of(cand)
             nd_new = float(np.linalg.norm(dvec_new)) * nd_factor
-            f_new = functional_F(cand, gamma)
+            f_new = F_of_ricci(cand[1], cand[2])
             if nd_new < nd and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur)):
                 accepted = (cand, dvec_new, nd_new, f_new)
                 break
             alpha *= 0.5
         if accepted is None:
+            reason = "line_search"
             break
         stalls = stalls + 1 if accepted[2] > 0.99 * nd else 0
-        tensor, dvec, nd, f_new = accepted
+        point, dvec, nd, f_new = accepted
         if f_new <= f_cur:
             f_cur = f_new
         k += 1
-        trace.samples.append(_descent_sample(tensor, gamma, k))
+        trace.samples.append(_descent_sample(point, k))
         if stalls >= 3:
+            reason = "stall"
             break
-    return tensor, f_cur, k
+    return point, f_cur, k, reason
 
 
 @dataclass(frozen=True)
@@ -433,7 +469,7 @@ def soliton_selfsimilarity_check(mu, gamma: Structure = None,
         raise NotCertifiedError(
             f"certificate residual {cert.residual:.3e} exceeds {cert.tolerance:.1e}"
         )
-    trace = metric_flow(mu, gamma, G, cfg, normalized=True)
+    trace = metric_flow(mu, gamma, G, replace(cfg, renorm=True))
     h = G.transport
     D0 = h @ cert.D @ G.transport_inv
     D0 = 0.5 * (D0 + D0.T)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Bracket, Metric, SkewTensor, _transported, coboundary
-from .curvature import curvature_report, invariant_ricci, ricci_operator
+from .algebra_core import Bracket, Metric, SkewTensor, _from_frame, coboundary
+from .curvature import _frame_data, curvature_report
 from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import (
     DimensionMismatch,
@@ -53,22 +53,16 @@ class Certificate:
         return self.verdict == MINIMAL
 
 
-def _certificate_core(tensor: SkewTensor, G: Metric, gamma: Structure,
-                      allow_scale: bool = False, check_cone: bool = True):
-    """(c, D0, residual, ric_gamma0, mu0) in the G-orthonormal frame."""
-    n = tensor.dim
-    mu0, h, hinv = _transported(tensor, G)
-    ric_gamma = invariant_ricci(tensor, G, gamma, allow_scale=allow_scale,
-                                check_cone=check_cone)
-    ric_gamma0 = h @ ric_gamma @ hinv
-    ric_gamma0 = 0.5 * (ric_gamma0 + ric_gamma0.T)
-    norm2 = mu0.norm2()
+def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
+                      norm2: float) -> tuple:
+    """(c, D0, residual) of the certificate for a bracket mu0 in an
+    orthonormal frame, from its Ric^gamma and |mu|^2 (frame_curvature)."""
     scal = -0.25 * norm2
     if scal == 0.0:
         c = 0.0
     else:
         c = float(np.trace(ric_gamma0 @ ric_gamma0)) / scal
-    D0 = ric_gamma0 - c * np.eye(n)
+    D0 = ric_gamma0 - c * np.eye(mu0.dim)
     if norm2 == 0.0:
         residual = 0.0
     else:
@@ -76,12 +70,19 @@ def _certificate_core(tensor: SkewTensor, G: Metric, gamma: Structure,
         residual = defect.norm() / (
             (1.0 + float(np.linalg.norm(D0))) * np.sqrt(norm2)
         )
-    return c, D0, float(residual), ric_gamma0, mu0
+    return c, D0, float(residual)
+
+
+def _certificate_core(tensor: SkewTensor, G: Metric, gamma: Structure,
+                      allow_scale: bool = False) -> tuple:
+    """(c, D0, residual) in the G-orthonormal frame."""
+    mu0, _, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
+    return frame_certificate(mu0, ric_gamma0, norm2)
 
 
 def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
-                    tol: float = None, allow_scale: bool = False,
-                    check_cone: bool = True) -> Certificate:
+                    tol: float = None,
+                    allow_scale: bool = False) -> Certificate:
     """Test whether the invariant Ricci operator equals c I + (derivation).
 
     Returns a Certificate whose verdict is Minimal iff the relative
@@ -92,14 +93,10 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:
         tol = certification_tolerance()
-    c, D0, residual, _, _ = _certificate_core(tensor, G, gamma, allow_scale,
-                                              check_cone)
-    hinv = G.transport_inv
-    h = G.transport
-    D = hinv @ D0 @ h
+    c, D0, residual = _certificate_core(tensor, G, gamma, allow_scale)
     verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
-    return Certificate(c=c, D=D, residual=residual, verdict=verdict,
-                       tolerance=float(tol))
+    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
+                       verdict=verdict, tolerance=float(tol))
 
 
 def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
@@ -118,8 +115,7 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
     tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:
         tol = certification_tolerance()
-    mu0, h, hinv = _transported(tensor, G)
-    ric_gamma0 = h @ invariant_ricci(tensor, G, gamma) @ hinv
+    mu0, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
     T0 = mu0.full()
     try:
         _require_two_step(T0)
@@ -150,7 +146,7 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
         defect.norm() / ((1.0 + np.linalg.norm(D0)) * mu0.norm())
     )
     verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
-    return Certificate(c=c, D=hinv @ D0 @ h, residual=residual,
+    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
                        verdict=verdict, tolerance=float(tol))
 
 
@@ -178,13 +174,10 @@ def hermitian_obstruction(mu, G: Metric = None,
     closed = integrability_residual(gamma, tensor)
     if closed > 1e-8 * (1.0 + tensor.norm()):
         raise NotClosed(f"form is not closed (residual {closed:.3e})")
-    ric_gamma = invariant_ricci(tensor, G, gamma)
-    h = G.transport
-    hinv = G.transport_inv
-    proj0 = h @ ric_gamma @ hinv
+    _, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
     return ObstructionReport(
         status=OBSTRUCTED,
-        obstruction_norm=float(np.linalg.norm(proj0)),
+        obstruction_norm=float(np.linalg.norm(ric_gamma0)),
     )
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .algebra_core import (
     Metric,
     SkewTensor,
+    _from_frame,
     as_tensor,
     combine,
     ordered_pairs,
@@ -124,29 +125,6 @@ def metric_jmap(gamma: Structure, G: Metric) -> np.ndarray:
     return np.linalg.solve(G.matrix, gamma.payload)
 
 
-def normalized_jmap(J: np.ndarray, allow_scale: bool,
-                    check_cone: bool = True) -> np.ndarray:
-    """J / sqrt(kappa) with kappa = -tr(J^2) / n, for a symplectic map J_G
-    in any frame; J^2 = -kappa I on the conformal compatible cone.
-
-    Raises IncompatibleMetric when kappa <= 0, when check_cone is set and
-    J^2 deviates from -kappa I beyond 1e-8 kappa, and when allow_scale is
-    not set and kappa differs from 1 beyond TOL_COMPAT.
-    """
-    n = J.shape[0]
-    J2 = J @ J
-    kappa = -float(np.trace(J2)) / n
-    if kappa <= 0:
-        raise IncompatibleMetric("metric leaves the conformal compatible cone")
-    if check_cone and np.abs(J2 + kappa * np.eye(n)).max() > 1e-8 * kappa:
-        raise IncompatibleMetric("metric leaves the conformal compatible cone")
-    if not allow_scale and abs(kappa - 1.0) > TOL_COMPAT:
-        raise IncompatibleMetric(
-            f"metric compatible only up to scale (kappa = {kappa:.6g})"
-        )
-    return J / np.sqrt(kappa)
-
-
 def compatibility_residual(gamma: Structure, G: Metric) -> float:
     """Deviation of G from the compatible cone of the structure; 0 iff inside."""
     if gamma.dim != G.dim:
@@ -208,11 +186,8 @@ def integrability_residual(gamma: Structure, mu: SkewTensor) -> float:
     integrable subspace (closedness for symplectic, vanishing Nijenhuis
     defect for complex and hypercomplex)."""
     if gamma.tag == HYPERCOMPLEX:
-        T = mu.full()
-        return max(
-            float(np.linalg.norm(_pair_rows(_nijenhuis_defect(J, T))))
-            for J in gamma.maps()
-        )
+        return max(integrability_residual(Structure(COMPLEX, gamma.dim, J), mu)
+                   for J in gamma.maps())
     return float(np.linalg.norm(integrability_defect(gamma, mu)))
 
 
@@ -234,22 +209,38 @@ def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
     Each i < j pair counts twice, matching the tensor inner product.
     """
     if gamma.tag == HYPERCOMPLEX:
-        T = mu.full()
-        worst = 0.0
-        for J in gamma.maps():
-            D = np.einsum("ai,bj,abk->ijk", J, J, T, optimize=True) - T
-            worst = max(worst, float(np.sqrt(2.0) * np.linalg.norm(_pair_rows(D))))
-        return worst
-    vec = abelian_defect(gamma, mu)
-    return float(np.sqrt(2.0) * np.linalg.norm(vec))
+        return max(abelian_residual(Structure(COMPLEX, gamma.dim, J), mu)
+                   for J in gamma.maps())
+    return float(np.sqrt(2.0) * np.linalg.norm(abelian_defect(gamma, mu)))
 
 
-def _transported_payload(gamma: Structure, G: Metric):
-    """Structure payload rewritten in the G-orthonormal frame."""
+def _transported_payload(gamma: Structure, G: Metric,
+                         allow_scale: bool = False):
+    """Structure payload in the G-orthonormal frame: h J h^-1 per complex
+    map; for a symplectic form h J_G h^-1 = h^-T omega h^-1 divided by
+    sqrt(kappa), kappa = -tr(J^2) / n.
+
+    Raises IncompatibleMetric unless G is compatible: a symplectic G must
+    lie in the conformal cone (J^2 = -kappa I to 1e-8 kappa, kappa > 0)
+    and, unless allow_scale is set, have kappa = 1 to TOL_COMPAT.
+    """
+    if gamma.dim != G.dim:
+        raise DimensionMismatch(f"structure dim {gamma.dim} vs metric dim {G.dim}")
     h = G.transport
     hinv = G.transport_inv
     if gamma.tag == SYMPLECTIC:
-        return hinv.T @ gamma.payload @ hinv
+        J = hinv.T @ gamma.payload @ hinv
+        J2 = J @ J
+        kappa = -float(np.trace(J2)) / gamma.dim
+        if kappa <= 0 or np.abs(J2 + kappa * np.eye(gamma.dim)).max() > 1e-8 * kappa:
+            raise IncompatibleMetric("metric leaves the conformal compatible cone")
+        if not allow_scale and abs(kappa - 1.0) > TOL_COMPAT:
+            raise IncompatibleMetric(
+                f"metric compatible only up to scale (kappa = {kappa:.6g})"
+            )
+        return J / np.sqrt(kappa)
+    if compatibility_residual(gamma, G) > TOL_COMPAT:
+        raise IncompatibleMetric("metric is not compatible with the structure")
     if gamma.tag == COMPLEX:
         return h @ gamma.payload @ hinv
     if gamma.tag == HYPERCOMPLEX:
@@ -297,17 +288,13 @@ def _frame_algebra_parts(gamma: Structure, payload0, n: int):
 def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
     """Bases of the G-symmetric and G-skew parts of the structure algebra.
 
-    For non-identity metrics they are computed in the Cholesky-transported
-    frame and conjugated back.
+    They are computed in the G-orthonormal frame and conjugated back;
+    raises IncompatibleMetric as _transported_payload does.
     """
-    if compatibility_residual(gamma, G) > TOL_COMPAT:
-        raise IncompatibleMetric("metric is not compatible with the structure")
     payload0 = _transported_payload(gamma, G)
     sym_part, skew_part = _frame_algebra_parts(gamma, payload0, gamma.dim)
-    hinv = G.transport_inv
-    h = G.transport
-    return StructureAlgebra(sym_basis=[hinv @ A @ h for A in sym_part],
-                            skew_basis=[hinv @ A @ h for A in skew_part])
+    return StructureAlgebra(sym_basis=[_from_frame(A, G) for A in sym_part],
+                            skew_basis=[_from_frame(A, G) for A in skew_part])
 
 
 def structure_group_basis(gamma: Structure, G: Metric) -> list:
@@ -336,35 +323,22 @@ def _frame_projection(gamma: Structure, payload0, S0: np.ndarray) -> np.ndarray:
 
 def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
                          method: str = "closed",
-                         allow_scale: bool = False,
-                         check_cone: bool = True) -> np.ndarray:
+                         allow_scale: bool = False) -> np.ndarray:
     """Orthogonal projection of a G-symmetric map S onto the symmetric part
     of the structure algebra, in the trace inner product.
 
     method "closed" uses the reflection formulas (J = J_G for symplectic);
     "basis" expands against a computed orthonormal basis.  allow_scale
-    admits symplectic metrics compatible only up to a positive factor,
-    normalizing J_G before projecting (used by the metric flows, whose
-    trajectories preserve the symplectic cone only up to scale).
-    check_cone=False skips the symplectic cone-membership assertion and
-    just kappa-normalizes J_G; integrators use this for their internal
-    stage evaluations, which sit off the cone at second order in the step.
+    admits symplectic metrics compatible only up to a positive factor
+    (see _transported_payload).
     """
     S = np.asarray(S, dtype=float)
     n = gamma.dim
     if S.shape != (n, n):
         raise DimensionMismatch(f"operator shape {S.shape} vs dim {n}")
-    if gamma.tag != SYMPLECTIC and compatibility_residual(gamma, G) > TOL_COMPAT:
-        raise IncompatibleMetric("metric is not compatible with the structure")
-    h = G.transport
-    hinv = G.transport_inv
-    S0 = h @ S @ hinv
+    payload0 = _transported_payload(gamma, G, allow_scale)
+    S0 = G.transport @ S @ G.transport_inv
     S0 = 0.5 * (S0 + S0.T)
-    if gamma.tag == SYMPLECTIC:
-        payload0 = normalized_jmap(h @ metric_jmap(gamma, G) @ hinv,
-                                   allow_scale, check_cone)
-    else:
-        payload0 = _transported_payload(gamma, G)
     if method == "closed":
         P0 = _frame_projection(gamma, payload0, S0)
     elif method == "basis":
@@ -372,8 +346,7 @@ def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
         P0 = combine([float(np.sum(S0 * B)) for B in sym_part], sym_part)
     else:
         raise ValueError(f"unknown projection method {method!r}")
-    P0 = 0.5 * (P0 + P0.T)
-    return hinv @ P0 @ h
+    return _from_frame(0.5 * (P0 + P0.T), G)
 
 
 def _grading_preserved(gamma: Structure, n1: int) -> bool:
@@ -429,13 +402,17 @@ def integrable_subspace_dim(gamma: Structure, ambient: str = "full",
         basis = graded_ambient_basis(n1, n2)
     else:
         raise ValueError(f"unknown ambient {ambient!r}")
+    return integrable_nullspace(gamma, basis, abelian).shape[1]
+
+
+def integrable_nullspace(gamma: Structure, basis: list,
+                         abelian: bool = False) -> np.ndarray:
+    """Orthonormal coefficient vectors (columns) of the combinations of the
+    basis tensors that are integrable, and abelian too if abelian is set."""
     rows = []
     for b in basis:
         vec = integrability_defect(gamma, b)
         if abelian:
             vec = np.concatenate([vec, abelian_defect(gamma, b)])
         rows.append(vec)
-    M = np.array(rows).T
-    if M.size == 0:
-        return len(basis)
-    return svd_nullspace(M).shape[1]
+    return svd_nullspace(np.array(rows).T)

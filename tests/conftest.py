@@ -53,6 +53,20 @@ def sp6_basis():
     return nm.structure_group_basis(gamma, nm.Metric.identity(6))
 
 
+def count_kernel_calls(monkeypatch, module: str) -> list:
+    """Wrap the curvature kernel as `module` calls it; the returned list
+    gets the coefficient bytes of each bracket it is called on."""
+    calls = []
+    kernel = nm.curvature.frame_curvature
+
+    def counted(mu0, gamma, payload0):
+        calls.append(mu0.coeffs.tobytes())
+        return kernel(mu0, gamma, payload0)
+
+    monkeypatch.setattr(f"{module}.frame_curvature", counted)
+    return calls
+
+
 def perturbed_m26(sp6_basis, rng, scale=0.3):
     """Move the critical symplectic point along a random group direction."""
     coeffs = rng.standard_normal(len(sp6_basis))

@@ -188,6 +188,7 @@ def test_search_finds_minimum_and_is_deterministic(capsys, tmp_path):
     assert len(payload["starts"]) == 3
     for row in payload["starts"]:
         assert row["converged"] is True
+        assert row["stop_reason"] == "converged"
         assert row["F_final"] == pytest.approx(7.0 / 160.0, abs=1e-8)
     assert payload["best"]["certificate"]["verdict"] == "Minimal"
     code, out2, _ = run(capsys, argv)

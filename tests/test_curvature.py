@@ -6,6 +6,8 @@ from scipy.stats import ortho_group
 
 import nilmetric as nm
 
+from conftest import count_kernel_calls
+
 TOL = 1e-12
 
 
@@ -128,3 +130,31 @@ def test_invariant_ricci_none_structure_is_ricci():
     t = nm.heisenberg().tensor
     R1 = nm.invariant_ricci(t, nm.Metric.identity(3), nm.no_structure(3))
     assert np.abs(R1 - nm.ricci_operator(t)).max() < TOL
+
+
+def test_curvature_report_calls_kernel_once(monkeypatch):
+    p = nm.m26_point(1.0, 0.0)
+    calls = count_kernel_calls(monkeypatch, "nilmetric.curvature")
+    nm.curvature_report(p.tensor, gamma=p.structure)
+    assert len(calls) == 1
+
+
+def test_frame_kernel_matches_entry_points():
+    # in the G-orthonormal frame the kernel gives the transported operators
+    p = nm.complex_curve(1.5)
+    rng = np.random.default_rng(43)
+    basis = nm.structure_algebra(p.structure, nm.Metric.identity(6)).sym_basis
+    xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    G = nm.Metric(np.linalg.matrix_power(np.eye(6) + 0.1 * xi, 2))
+    h, hinv = G.transport, G.transport_inv
+    payload0 = nm.structures._transported_payload(p.structure, G)
+    ric0, ric_gamma0, norm2 = nm.curvature.frame_curvature(
+        nm.act(h, p.tensor), p.structure, payload0)
+    assert np.abs(ric0 - ric0.T).max() == 0.0
+    assert np.abs(ric_gamma0 - ric_gamma0.T).max() == 0.0
+    ric = nm.ricci_operator(p.tensor, G)
+    ric_gamma = nm.invariant_ricci(p.tensor, G, p.structure)
+    assert np.abs(h @ ric @ hinv - ric0).max() < 1e-12
+    assert np.abs(h @ ric_gamma @ hinv - ric_gamma0).max() < 1e-12
+    assert -0.25 * norm2 == pytest.approx(nm.scalar_curvature(p.tensor, G),
+                                          rel=1e-14)
