@@ -6,6 +6,8 @@ Conventions used throughout the package:
 - A skew tensor mu stores the coefficients of mu(X_i, X_j) for i < j only;
   antisymmetry is structural.  Indices are 1-based in all I/O and documents,
   0-based internally.
+- The layout lives here alone: ``pair_index`` gives the row order of the
+  stored pairs and ``triple_index`` the triples i < j < k, both lexicographic.
 - The inner product on tensors is the ordered double sum over (i, j), so
   each stored i < j coefficient counts twice: ``inner(mu, mu) =
   2 * sum(coeffs**2)``.  This is the unique convention under which the
@@ -40,34 +42,40 @@ from .errors import (
 
 
 @lru_cache(maxsize=None)
-def ordered_pairs(n: int) -> tuple:
-    """Lexicographic list of index pairs (i, j) with i < j, 0-based."""
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+def pair_index(n: int) -> tuple:
+    """Read-only (rows, cols) of the pairs i < j in lexicographic order,
+    np.triu_indices(n, 1): the row order of SkewTensor.coeffs."""
+    idx = np.array(np.triu_indices(n, 1))
+    idx.flags.writeable = False  # the cache shares it with every caller
+    return tuple(idx)
+
+
+@lru_cache(maxsize=None)
+def triple_index(n: int) -> tuple:
+    """Read-only (i, j, k) of the triples i < j < k in lexicographic order."""
+    idx = np.indices((n, n, n)).reshape(3, -1)
+    idx = idx[:, (idx[0] < idx[1]) & (idx[1] < idx[2])]
+    idx.flags.writeable = False
+    return tuple(idx)
+
+
+def _pair_units(n: int, sign: float) -> list:
+    """(E_ij + sign E_ji) / sqrt(2) for each pair i < j."""
+    iu, ju = pair_index(n)
+    I = np.eye(n)
+    E = I[iu][:, :, None] * I[ju][:, None, :]
+    return list((E + sign * E.transpose(0, 2, 1)) / np.sqrt(2.0))
 
 
 def sym_basis(n: int) -> list:
-    """Frobenius-orthonormal basis of symmetric n x n matrices."""
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-    for i, j in ordered_pairs(n):
-        E = np.zeros((n, n))
-        E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-        basis.append(E)
-    return basis
+    """Frobenius-orthonormal basis of symmetric n x n matrices: the
+    diagonal units, then one matrix per pair i < j."""
+    return list(np.eye(n)[:, :, None] * np.eye(n)[:, None, :]) + _pair_units(n, 1.0)
 
 
 def skew_basis(n: int) -> list:
     """Frobenius-orthonormal basis of antisymmetric n x n matrices."""
-    basis = []
-    for i, j in ordered_pairs(n):
-        E = np.zeros((n, n))
-        E[i, j] = 1.0 / np.sqrt(2.0)
-        E[j, i] = -E[i, j]
-        basis.append(E)
-    return basis
+    return _pair_units(n, -1.0)
 
 
 def svd_nullspace(M: np.ndarray, rtol: float = TOL_NULL) -> np.ndarray:
@@ -88,7 +96,7 @@ class SkewTensor:
     """Element of V = Lambda^2(n*) (x) n as structure constants.
 
     coeffs has shape (n(n-1)/2, n); row p holds the value of mu(X_i, X_j)
-    for the p-th pair (i, j) in lexicographic order.
+    for the p-th pair (i, j) of pair_index(n), in lexicographic order.
     """
 
     def __init__(self, dim: int, coeffs: np.ndarray):
@@ -111,15 +119,16 @@ class SkewTensor:
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SkewTensor":
         """Build from 1-based records (i, j, k, coeff) with i < j."""
-        coeffs = np.zeros((dim * (dim - 1) // 2, dim))
-        index = {p: r for r, p in enumerate(ordered_pairs(dim))}
-        for i, j, k, value in entries:
-            if not (1 <= i < j <= dim and 1 <= k <= dim):
-                raise DimensionMismatch(
-                    f"entry ({i},{j},{k}) out of range for dim {dim}"
-                )
-            coeffs[index[(i - 1, j - 1)], k - 1] += float(value)
-        return cls(dim, coeffs)
+        records = list(entries)
+        table = np.array(records, dtype=float).reshape(-1, 4)
+        i, j, k = table[:, :3].astype(int).T - 1
+        ok = (0 <= i) & (i < j) & (j < dim) & (0 <= k) & (k < dim)
+        if not ok.all():
+            i, j, k, _ = records[np.argmin(ok)]
+            raise DimensionMismatch(f"entry ({i},{j},{k}) out of range for dim {dim}")
+        T = np.zeros((dim, dim, dim))
+        np.add.at(T, (i, j, k), table[:, 3])
+        return cls(dim, T[pair_index(dim)])
 
     @classmethod
     def from_full(cls, arr: np.ndarray) -> "SkewTensor":
@@ -130,30 +139,24 @@ class SkewTensor:
             raise DimensionMismatch(f"expected cubic array, got {arr.shape}")
         if np.abs(arr + arr.transpose(1, 0, 2)).max() > 1e-12 * (1 + np.abs(arr).max()):
             raise ValueError("array is not antisymmetric in its first two slots")
-        coeffs = np.array([arr[i, j] for i, j in ordered_pairs(n)])
-        if n < 2:
-            coeffs = coeffs.reshape(0, n)
-        return cls(n, coeffs)
+        return cls(n, arr[pair_index(n)])
 
     def full(self) -> np.ndarray:
         """Full antisymmetric (n, n, n) array; cached."""
         if self._full is None:
-            n = self.dim
-            T = np.zeros((n, n, n))
-            for r, (i, j) in enumerate(ordered_pairs(n)):
-                T[i, j] = self.coeffs[r]
-                T[j, i] = -self.coeffs[r]
+            iu, ju = pair_index(self.dim)
+            T = np.zeros((self.dim,) * 3)
+            T[iu, ju] = self.coeffs
+            T[ju, iu] = -self.coeffs
             self._full = T
         return self._full
 
     def entries(self) -> list:
         """Nonzero coefficients as 1-based (i, j, k, value) records."""
-        out = []
-        for r, (i, j) in enumerate(ordered_pairs(self.dim)):
-            for k in range(self.dim):
-                if self.coeffs[r, k] != 0.0:
-                    out.append((i + 1, j + 1, k + 1, float(self.coeffs[r, k])))
-        return out
+        iu, ju = pair_index(self.dim)
+        r, k = np.nonzero(self.coeffs)
+        return list(zip((iu[r] + 1).tolist(), (ju[r] + 1).tolist(),
+                        (k + 1).tolist(), self.coeffs[r, k].tolist()))
 
     def norm2(self) -> float:
         """Squared norm under the ordered-sum convention."""
@@ -183,16 +186,9 @@ def inner(a: SkewTensor, b: SkewTensor) -> float:
 
 def jacobi_residual(mu: SkewTensor) -> float:
     """Norm over triples i < j < k of the cyclic Jacobi sum; 0 iff Lie."""
-    T = mu.full()
-    n = mu.dim
-    C = np.einsum("ijl,lkm->ijkm", T, T)
-    J = C + C.transpose(1, 2, 0, 3) + C.transpose(2, 0, 1, 3)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total += float(np.sum(J[i, j, k] ** 2))
-    return float(np.sqrt(total))
+    C = np.einsum("ijl,lkm->ijkm", mu.full(), mu.full())
+    i, j, k = triple_index(mu.dim)
+    return float(np.linalg.norm(C[i, j, k] + C[k, i, j] + C[j, k, i]))
 
 
 def lower_central_dims(mu: SkewTensor) -> list:
@@ -212,14 +208,13 @@ def lower_central_dims(mu: SkewTensor) -> list:
         if not np.any(image):
             dims.append(0)
             break
-        s = np.linalg.svd(image, compute_uv=False)
+        _, s, vt = np.linalg.svd(image, full_matrices=False)
         rank = int(np.sum(s > TOL_NULL * scale))
         dims.append(rank)
         if rank == 0:
             break
         if rank >= dims[-2]:
             break
-        _, _, vt = np.linalg.svd(image)
         basis = vt[:rank].T
     return dims
 
@@ -387,8 +382,7 @@ def coboundary_matrix(mu: SkewTensor) -> np.ndarray:
         - np.einsum("qi,pjm->ijmpq", I, T)
         - np.einsum("qj,ipm->ijmpq", I, T)
     )
-    rows = [K[i, j].reshape(n, n * n) for i, j in ordered_pairs(n)]
-    return np.vstack(rows)
+    return K[pair_index(n)].reshape(-1, n * n)
 
 
 def derivation_basis(mu) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra_core import (Bracket, Metric, act, combine, expm, expm_skew,
-                           lower_central_dims)
+                           jacobi_residual, lower_central_dims)
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
 from .defaults import TOL_COMPAT, TOL_JACOBI, certification_tolerance
@@ -26,7 +26,8 @@ from .errors import NilmetricError, ParseError
 from .flows import FlowConfig, bracket_descent, metric_flow
 from .minimality import certify_minimal, distinguish, fingerprint
 from .problemfile import jsonable, load_problem, point_to_problem
-from .structures import structure_group_basis
+from .structures import (compatibility_residual, integrability_accepted,
+                         integrability_residual, structure_group_basis)
 
 
 def _emit(payload: dict):
@@ -40,19 +41,15 @@ def _header() -> dict:
 def cmd_check(args) -> int:
     problem = load_problem(args.file)
     tensor = problem.tensor
-    norm2 = tensor.norm2()
-    from .algebra_core import jacobi_residual
-    from .structures import compatibility_residual, integrability_residual
-
     jac = jacobi_residual(tensor)
     lcs = lower_central_dims(tensor)
     nilpotent = lcs[-1] == 0
     integ = integrability_residual(problem.structure, tensor)
     compat = compatibility_residual(problem.structure, problem.metric)
     checks = {
-        "jacobi": bool(jac <= TOL_JACOBI * (1.0 + norm2)),
+        "jacobi": bool(jac <= TOL_JACOBI * (1.0 + tensor.norm2())),
         "nilpotent": bool(nilpotent),
-        "integrability": bool(integ <= 1e-8 * (1.0 + norm2)),
+        "integrability": integrability_accepted(integ, tensor),
         "compatibility": bool(compat <= TOL_COMPAT),
     }
     report = _header()
@@ -75,16 +72,7 @@ def cmd_curvature(args) -> int:
     problem = load_problem(args.file)
     report = curvature_report(problem.tensor, problem.metric, problem.structure)
     payload = _header()
-    payload.update({
-        "dim": problem.dim,
-        "ric": report.ric,
-        "scal": report.scal,
-        "ric_gamma": report.ric_gamma,
-        "moment": report.moment,
-        "F_value": report.F_value,
-        "eigen_ric": report.eigen_ric,
-        "eigen_ric_gamma": report.eigen_ric_gamma,
-    })
+    payload.update(jsonable(report), dim=problem.dim)
     _emit(payload)
     return 0
 
@@ -204,13 +192,7 @@ def cmd_fingerprint(args) -> int:
     problem = load_problem(args.file)
     fp = fingerprint(Bracket(problem.tensor), problem.metric, problem.structure)
     payload = _header()
-    payload.update({
-        "dim": fp.dim,
-        "eigen_ric": fp.eigen_ric,
-        "eigen_ric_gamma": fp.eigen_ric_gamma,
-        "scal": fp.scal,
-        "lcs_dims": fp.lcs_dims,
-    })
+    payload.update(jsonable(fp))
     _emit(payload)
     return 0
 

@@ -50,6 +50,7 @@ from .minimality import certify_minimal, frame_certificate
 from .structures import (
     Structure,
     _transported_payload,
+    integrability_accepted,
     integrability_residual,
     no_structure,
     structure_algebra,
@@ -289,7 +290,7 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
         gamma = no_structure(tensor.dim)
     tensor = _unit(tensor)
     res0 = integrability_residual(gamma, tensor)
-    if res0 > 1e-8 * (1.0 + tensor.norm2()):
+    if not integrability_accepted(res0, tensor):
         raise InvalidBracket(
             f"starting bracket violates integrability (residual {res0:.3e})"
         )

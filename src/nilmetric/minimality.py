@@ -27,6 +27,7 @@ from .errors import (
 )
 from .structures import (
     Structure,
+    integrability_accepted,
     integrability_residual,
     with_defaults,
 )
@@ -172,7 +173,7 @@ def hermitian_obstruction(mu, G: Metric = None,
     if tensor.norm2() == 0.0:
         return ObstructionReport(status=ABELIAN, obstruction_norm=0.0)
     closed = integrability_residual(gamma, tensor)
-    if closed > 1e-8 * (1.0 + tensor.norm()):
+    if not integrability_accepted(closed, tensor):
         raise NotClosed(f"form is not closed (residual {closed:.3e})")
     _, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
     return ObstructionReport(
@@ -208,21 +209,26 @@ def fingerprint(mu, G: Metric = None, gamma: Structure = None,
 
 def distinguish(f1: Fingerprint, f2: Fingerprint,
                 tol: float = TOL_DISTINGUISH) -> str:
-    """Distinct if any fingerprint component differs beyond tol.
+    """Distinct if the series dimensions differ, or if any spectrum divided
+    by |scal| differs beyond tol.
 
+    Minimal metrics are unique up to isometry and scaling, so homothetic
+    data are Indistinguishable; the zero bracket is Distinct from any other.
     Indistinguishable is NOT a proof that the underlying structures are
     equivalent; it only means this test cannot separate them.
     """
     if f1.dim != f2.dim:
         raise DimensionMismatch(f"fingerprint dims {f1.dim} vs {f2.dim}")
-    if list(f1.lcs_dims) != list(f2.lcs_dims):
+    if (list(f1.lcs_dims) != list(f2.lcs_dims)
+            or (f1.scal == 0.0) != (f2.scal == 0.0)):
         return DISTINCT
-    if abs(f1.scal - f2.scal) > tol:
-        return DISTINCT
+    # the zero bracket has zero spectra, compared unscaled
+    s1 = abs(f1.scal) or 1.0
+    s2 = abs(f2.scal) or 1.0
     for a, b in ((f1.eigen_ric, f2.eigen_ric),
                  (f1.eigen_ric_gamma, f2.eigen_ric_gamma)):
         if len(a) != len(b):
             return DISTINCT
-        if np.abs(np.asarray(a) - np.asarray(b)).max() > tol:
+        if np.abs(np.asarray(a) / s1 - np.asarray(b) / s2).max() > tol:
             return DISTINCT
     return INDISTINGUISHABLE

@@ -25,10 +25,11 @@ from .algebra_core import (
     _from_frame,
     as_tensor,
     combine,
-    ordered_pairs,
+    pair_index,
     svd_nullspace,
     sym_basis,
     skew_basis,
+    triple_index,
 )
 from .defaults import TOL_COMPAT
 from .errors import (
@@ -145,14 +146,9 @@ def compatibility_residual(gamma: Structure, G: Metric) -> float:
 
 def _closedness_rows(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Cyclic-sum values omega(mu(Xi,Xj),Xk) + cyc over triples i<j<k."""
-    n = T.shape[0]
     B = T @ omega  # B[i,j,k] = omega(mu(Xi,Xj), Xk)
-    vals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                vals.append(B[i, j, k] + B[j, k, i] + B[k, i, j])
-    return np.array(vals)
+    i, j, k = triple_index(T.shape[0])
+    return B[i, j, k] + B[j, k, i] + B[k, i, j]
 
 
 def _nijenhuis_defect(J: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -161,12 +157,6 @@ def _nijenhuis_defect(J: np.ndarray, T: np.ndarray) -> np.ndarray:
     B1 = np.einsum("km,ai,ajm->ijk", J, J, T, optimize=True)
     B2 = np.einsum("km,bj,ibm->ijk", J, J, T, optimize=True)
     return A1 - T - B1 - B2
-
-
-def _pair_rows(D: np.ndarray) -> np.ndarray:
-    """Flatten a full antisymmetric defect array over i<j pairs."""
-    n = D.shape[0]
-    return np.concatenate([D[i, j] for i, j in ordered_pairs(n)])
 
 
 def integrability_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
@@ -178,7 +168,8 @@ def integrability_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
         return np.zeros(0)
     if gamma.tag == SYMPLECTIC:
         return _closedness_rows(gamma.payload, T)
-    return np.concatenate([_pair_rows(_nijenhuis_defect(J, T)) for J in gamma.maps()])
+    return np.concatenate([_nijenhuis_defect(J, T)[pair_index(mu.dim)].ravel()
+                           for J in gamma.maps()])
 
 
 def integrability_residual(gamma: Structure, mu: SkewTensor) -> float:
@@ -191,16 +182,20 @@ def integrability_residual(gamma: Structure, mu: SkewTensor) -> float:
     return float(np.linalg.norm(integrability_defect(gamma, mu)))
 
 
+def integrability_accepted(residual: float, mu: SkewTensor) -> bool:
+    """The integrability acceptance test, residual <= TOL_COMPAT (1 + |mu|)."""
+    return residual <= TOL_COMPAT * (1.0 + mu.norm())
+
+
 def abelian_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
     """Stacked values of mu(J., J.) - mu over the structure's maps."""
     if gamma.tag not in (COMPLEX, HYPERCOMPLEX):
         raise WrongTag("abelian condition needs a complex or hypercomplex structure")
     T = mu.full()
-    out = []
-    for J in gamma.maps():
-        D = np.einsum("ai,bj,abk->ijk", J, J, T, optimize=True) - T
-        out.append(_pair_rows(D))
-    return np.concatenate(out)
+    pairs = pair_index(mu.dim)
+    return np.concatenate([
+        (np.einsum("ai,bj,abk->ijk", J, J, T, optimize=True) - T)[pairs].ravel()
+        for J in gamma.maps()])
 
 
 def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
@@ -364,22 +359,16 @@ def graded_ambient_basis(n1: int, n2: int) -> list:
     """Basis of the graded bracket space Lambda^2(n1*) (x) n2 inside dim
     n1 + n2 tensors: pairs within the first block, values in the second."""
     n = n1 + n2
-    out = []
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            for k in range(n1, n):
-                entries = [(i + 1, j + 1, k + 1, 1.0)]
-                out.append(SkewTensor.from_entries(n, entries))
-    return out
+    _, ju = pair_index(n)
+    graded = (ju[:, None] < n1) & (np.arange(n) >= n1)
+    units = np.eye(graded.size)[graded.ravel()]
+    return [SkewTensor(n, u.reshape(graded.shape)) for u in units]
 
 
 def full_ambient_basis(n: int) -> list:
     """Coordinate basis of the full tensor space V."""
-    out = []
-    for i, j in ordered_pairs(n):
-        for k in range(n):
-            out.append(SkewTensor.from_entries(n, [(i + 1, j + 1, k + 1, 1.0)]))
-    return out
+    m = pair_index(n)[0].size
+    return [SkewTensor(n, u.reshape(m, n)) for u in np.eye(m * n)]
 
 
 def integrable_subspace_dim(gamma: Structure, ambient: str = "full",

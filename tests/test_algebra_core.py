@@ -1,20 +1,79 @@
 """Tensor container, bracket validation, group action and derivations."""
 
+import importlib.util
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilmetric as nm
-from nilmetric.algebra_core import (combine, expm, expm_skew, ordered_pairs,
-                                    svd_nullspace, sym_basis, skew_basis)
+from nilmetric.algebra_core import (combine, expm, expm_skew, pair_index,
+                                    svd_nullspace, sym_basis, skew_basis,
+                                    triple_index)
 
 TOL = 1e-12
 
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
 
 def test_ordered_pairs_count():
-    assert len(ordered_pairs(6)) == 15
-    assert tuple(ordered_pairs(3)) == ((0, 1), (0, 2), (1, 2))
+    assert len(pair_index(6)[0]) == 15
+    assert tuple(zip(*pair_index(3))) == ((0, 1), (0, 2), (1, 2))
+
+
+def test_triple_index_is_lexicographic():
+    for n in range(1, 9):
+        assert list(zip(*triple_index(n))) == list(combinations(range(n), 3))
+
+
+@st.composite
+def skew_tensors(draw):
+    n = draw(st.integers(1, 8))
+    size = n * (n - 1) // 2 * n
+    values = draw(st.lists(st.floats(-1e3, 1e3) | st.just(0.0),
+                           min_size=size, max_size=size))
+    return nm.SkewTensor(n, np.reshape(values, (n * (n - 1) // 2, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_tensors())
+def test_layout_round_trips(t):
+    full = t.full()
+    assert np.array_equal(full, -full.transpose(1, 0, 2))
+    assert np.array_equal(nm.SkewTensor.from_full(full).coeffs, t.coeffs)
+    assert np.array_equal(
+        nm.SkewTensor.from_entries(t.dim, t.entries()).coeffs, t.coeffs)
+
+
+def test_oracle_layout_matches_full():
+    # the benchmark's oracle hard-codes the coefficient layout
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+        assert oracle.full_from_pairs(t.coeffs).tobytes() == t.full().tobytes()
+
+
+def _jacobi_by_triples(t):
+    T = t.full()
+    total = 0.0
+    for i, j, k in combinations(range(t.dim), 3):
+        J = T[i, j] @ T[:, k] + T[j, k] @ T[:, i] + T[k, i] @ T[:, j]
+        total += float(np.sum(J ** 2))
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_jacobi_residual_matches_triple_sum(n):
+    rng = np.random.default_rng(n)
+    t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+    want = _jacobi_by_triples(t)
+    assert abs(nm.jacobi_residual(t) - want) <= 1e-14 * want
 
 
 def test_from_entries_accumulates_repeats():

@@ -195,6 +195,24 @@ def test_search_finds_minimum_and_is_deterministic(capsys, tmp_path):
     assert out2 == out1  # byte-identical rerun
 
 
+def test_check_scales_integrability_bound_with_norm(capsys, tmp_path):
+    # relative integrability defect 3.2e-8: bracket_descent and
+    # hermitian_obstruction reject it, so check must too
+    p = nm.catalog_get("m26")
+    bent = p.tensor.scaled(100.0).plus(
+        nm.SkewTensor.from_entries(6, [(1, 2, 4, 1.0)]), 1e-5)
+    path = write_problem(tmp_path, "bent.json", bent, p.structure)
+    code, out, _ = run(capsys, ["check", path])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks == {"jacobi": True, "nilpotent": True,
+                      "integrability": False, "compatibility": True}
+    with pytest.raises(nm.InvalidBracket):
+        nm.bracket_descent(bent, p.structure)
+    with pytest.raises(nm.NotClosed):
+        nm.hermitian_obstruction(bent, gamma=p.structure)
+
+
 def test_fingerprint_and_distinguish(capsys, tmp_path):
     a = nm.complex_curve(1.0)
     b = nm.complex_curve(3.0)

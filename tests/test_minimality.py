@@ -135,6 +135,27 @@ def test_distinguish_m26_endpoints():
     assert nm.distinguish(a, b) == "Distinct"  # lower central series differ
 
 
+def test_distinguish_is_up_to_scaling():
+    m26 = nm.m26_point(1.0, 0.0).tensor
+    a = nm.fingerprint(m26)
+    b = nm.fingerprint(m26.scaled(2.0))
+    assert b.scal == pytest.approx(4.0 * a.scal)  # raw values are kept
+    assert nm.distinguish(a, b) == "Indistinguishable"
+
+
+def test_distinguish_zero_bracket():
+    zero = nm.fingerprint(nm.SkewTensor.zero(6))
+    assert nm.distinguish(zero, zero) == "Indistinguishable"
+    other = nm.fingerprint(nm.m26_point(1.0, 0.0).tensor)
+    assert nm.distinguish(zero, other) == "Distinct"
+    # the explicit check, not the series dimensions, separates them here
+    same_series = nm.Fingerprint(dim=6, eigen_ric=other.eigen_ric,
+                                 eigen_ric_gamma=other.eigen_ric_gamma,
+                                 scal=other.scal, lcs_dims=zero.lcs_dims)
+    assert nm.distinguish(zero, same_series) == "Distinct"
+    assert nm.distinguish(same_series, zero) == "Distinct"
+
+
 def test_distinguish_dimension_mismatch():
     a = nm.fingerprint(nm.heisenberg().tensor)
     b = nm.fingerprint(nm.m26_point(1.0, 0.0).tensor)
