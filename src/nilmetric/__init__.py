@@ -16,7 +16,6 @@ from .algebra_core import (
     j_operator,
     jacobi_residual,
     lower_central_dims,
-    nilpotency_check,
     symmetric_derivation_basis,
 )
 from .catalog import (

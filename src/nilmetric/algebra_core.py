@@ -219,27 +219,19 @@ def lower_central_dims(mu: SkewTensor) -> list:
     return dims
 
 
-def nilpotency_check(mu: SkewTensor) -> int:
-    """Nilpotency index s (the s+1st term of the series vanishes).
-
-    Raises NotNilpotent if the series stabilizes at positive dimension.
-    """
-    dims = lower_central_dims(mu)
-    if dims[-1] != 0:
-        raise NotNilpotent(f"lower central series stabilizes at dims {dims}")
-    return len(dims) - 1
+def jacobi_accepted(residual: float, mu: SkewTensor) -> bool:
+    """The Jacobi acceptance test, residual <= TOL_JACOBI (1 + |mu|^2)."""
+    return residual <= TOL_JACOBI * (1.0 + mu.norm2())
 
 
 class Bracket:
     """A validated nilpotent Lie bracket: Jacobi plus nilpotency."""
 
-    def __init__(self, tensor: SkewTensor, tol: float = TOL_JACOBI):
+    def __init__(self, tensor: SkewTensor):
         res = jacobi_residual(tensor)
-        bound = tol * (1.0 + tensor.norm2())
-        if res > bound:
-            raise InvalidBracket(
-                f"jacobi residual {res:.3e} exceeds {bound:.3e}"
-            )
+        if not jacobi_accepted(res, tensor):
+            raise InvalidBracket(f"jacobi residual {res:.3e} exceeds "
+                                 f"{TOL_JACOBI:.0e} (1 + |mu|^2)")
         self.tensor = tensor
         self.lcs_dims = lower_central_dims(tensor)
         if self.lcs_dims[-1] != 0:

@@ -10,7 +10,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,12 +186,9 @@ def m26_point(x: float, y: float) -> FamilyPoint:
         alpha = 0.5 * (phi + math.copysign(h, x - y))
     gamma_c = phi - alpha
     point = symplectic_family(alpha, beta, gamma_c, dc, dc, phi)
-    extra = {"constraint_residual": abs(constraint)}
-    validation = dict(point.validation)
-    validation.update(extra)
-    return FamilyPoint(family_id="m26", params={"x": x, "y": y},
-                       bracket=point.bracket, structure=point.structure,
-                       metric=point.metric, validation=validation)
+    return replace(point, family_id="m26", params={"x": x, "y": y},
+                   validation={**point.validation,
+                               "constraint_residual": abs(constraint)})
 
 
 def ellipse_points(count: int = 8) -> list:
@@ -255,10 +252,7 @@ def hc_g3_point() -> FamilyPoint:
     """The equal-parameter point r = s = t = (3 + sqrt(3))/6 on the
     minimality sphere."""
     g = (3.0 + math.sqrt(3.0)) / 6.0
-    point = hypercomplex_family(g, g, g)
-    return FamilyPoint(family_id="hc-g3", params=point.params,
-                       bracket=point.bracket, structure=point.structure,
-                       metric=point.metric, validation=point.validation)
+    return replace(hypercomplex_family(g, g, g), family_id="hc-g3")
 
 
 def surface_points(count: int = 5) -> list:

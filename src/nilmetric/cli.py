@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__
 from .algebra_core import (Bracket, Metric, act, combine, expm, expm_skew,
-                           jacobi_residual, lower_central_dims)
+                           jacobi_accepted, jacobi_residual, lower_central_dims)
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
-from .defaults import TOL_COMPAT, TOL_JACOBI, certification_tolerance
+from .defaults import TOL_COMPAT, certification_tolerance
 from .errors import NilmetricError, ParseError
 from .flows import FlowConfig, bracket_descent, metric_flow
 from .minimality import certify_minimal, distinguish, fingerprint
@@ -47,7 +47,7 @@ def cmd_check(args) -> int:
     integ = integrability_residual(problem.structure, tensor)
     compat = compatibility_residual(problem.structure, problem.metric)
     checks = {
-        "jacobi": bool(jac <= TOL_JACOBI * (1.0 + tensor.norm2())),
+        "jacobi": jacobi_accepted(jac, tensor),
         "nilpotent": bool(nilpotent),
         "integrability": integrability_accepted(integ, tensor),
         "compatibility": bool(compat <= TOL_COMPAT),

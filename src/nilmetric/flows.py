@@ -245,12 +245,6 @@ def _descent_sample(point: tuple, k: int) -> tuple:
     return _sample_row(point, k)
 
 
-def _span_project(d: SkewTensor, basis: list) -> tuple:
-    """Projection of d onto the span plus its coordinate vector."""
-    coords = np.array([inner(d, b) for b in basis])
-    return combine(coords, basis), coords
-
-
 def _orthonormalize_span(basis: list) -> list:
     """Gram-Schmidt in the tensor inner product; drops dependent members."""
     out = []
@@ -269,11 +263,16 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
     """Minimize the curvature functional over the unit sphere of brackets.
 
     Orbit mode (default) moves along the structure-group orbit of the
-    start, preserving the Jacobi identity and the integrability constraint
-    to rounding; at a converged fixed point the minimality certificate
-    passes.  With subspace (a list of SkewTensor spanning a linear slice
-    of V) the updates are linear combinations within that slice and the
-    direction is projected onto it.
+    start, mu <- normalize(act(expm(eta * xi), mu)) with xi in the
+    symmetric structure algebra at the identity, preserving the Jacobi
+    identity and the integrability constraint to rounding; at a converged
+    fixed point the minimality certificate passes.  With subspace (a list
+    of SkewTensor spanning a linear slice of V) the moves are
+    mu <- normalize(mu + eta * xi) with xi in the orthonormalized span, and
+    the direction is projected onto it.  The mode is chosen once, here; it
+    fixes the move basis, the move, phase one's generator (-Ric^gamma, or
+    the projected direction) and the Gauss-Newton direction vector, which
+    phase one and _polish share.
 
     The trace samples are (iteration, scal, F, certificate residual).  The
     no_descent flag reports a run that did not converge (not fatal), and
@@ -295,13 +294,38 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
             f"starting bracket violates integrability (residual {res0:.3e})"
         )
     payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
-    span = _orthonormalize_span(subspace) if subspace is not None else None
 
-    def direction(point):
-        d = _direction(point)
-        if span is not None:
-            d, _ = _span_project(d, span)
-        return d
+    if subspace is None:
+        nd_factor = np.sqrt(2.0)  # the coefficient norm counts pairs once
+
+        def move_basis():  # built only when the Gauss-Newton phase runs
+            return structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis
+
+        def move(T, gen, eta):
+            return _evaluate(_unit(act(expm(eta * gen), T)), gamma, payload0)
+
+        def dvec_of(point):
+            return _direction(point).coeffs.ravel()
+
+        def generator(point):
+            return -point[1], _direction(point).norm()
+    else:
+        span = _orthonormalize_span(subspace)
+        nd_factor = 1.0
+
+        def move_basis():
+            return span
+
+        def move(T, gen, eta):
+            return _evaluate(_unit(T.plus(gen, eta)), gamma, payload0)
+
+        def dvec_of(point):
+            d = _direction(point)
+            return np.array([inner(d, b) for b in span])
+
+        def generator(point):
+            d = combine(dvec_of(point), span)
+            return d, d.norm()
 
     trace = FlowTrace()
     k = 0
@@ -311,8 +335,7 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
     best = (np.inf, point)
     polish_from = None
     for _ in range(cfg.max_iter):
-        d = direction(point)
-        nd = d.norm()
+        gen, nd = generator(point)
         if nd < best[0]:
             best = (nd, point)
         if nd <= cfg.tol_converge:
@@ -326,15 +349,10 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
         if nd > ESCAPE_FACTOR * best[0] and best[0] < 1e-2:
             polish_from = best[1]
             break
-        tensor, ric_gamma, _ = point
         eta = 1.0
         accepted = None
         while eta > 2.0**-MAX_HALVINGS:
-            if span is None:
-                cand = _unit(act(expm(-eta * ric_gamma), tensor))
-            else:
-                cand = _unit(tensor.plus(d, eta))
-            cand = _evaluate(cand, gamma, payload0)
+            cand = move(point[0], gen, eta)
             f_new = F_of_ricci(cand[1], cand[2])
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
                 accepted = (cand, f_new)
@@ -342,7 +360,7 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
             eta *= 0.5
         if accepted is None:
             trace.no_descent = True
-            trace.final_state = tensor
+            trace.final_state = point[0]
             trace.converged = False
             trace.stop_reason = "line_search"
             return trace
@@ -353,46 +371,26 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
     if polish_from is None:
         polish_from = best[1] if best[0] < 1e-2 else None
     if polish_from is not None:
-        point, f_cur, k, reason = _polish(polish_from, gamma, payload0, cfg,
-                                          span, trace, k, f_cur)
+        point, f_cur, k, reason = _polish(polish_from, move_basis(), move,
+                                          dvec_of, nd_factor, cfg, trace, k,
+                                          f_cur)
     trace.final_state = point[0]
-    trace.converged = bool(direction(point).norm() <= cfg.tol_converge)
+    trace.converged = bool(generator(point)[1] <= cfg.tol_converge)
     trace.no_descent = not trace.converged
     trace.stop_reason = "converged" if trace.converged else reason
     return trace
 
 
-def _polish(point: tuple, gamma: Structure, payload0, cfg: FlowConfig,
-            span: list, trace: FlowTrace, k: int, f_cur: float):
-    """Damped Gauss-Newton on the direction vector.
+def _polish(point: tuple, basis: list, move, dvec_of, nd_factor: float,
+            cfg: FlowConfig, trace: FlowTrace, k: int, f_cur: float):
+    """Damped Gauss-Newton on the direction vector dvec_of(point), solving
+    for coordinates xi in the move basis; a trial is move(T, combine(xi,
+    basis), alpha).  The direction norm is |dvec| * nd_factor.
 
-    Orbit mode solves for a structure-group generator; subspace mode for
-    slice coordinates.  Steps are accepted when the direction norm drops
-    and the functional does not increase beyond rounding.  Returns the
-    last point, F, iteration count and the reason the iteration stopped.
+    Steps are accepted when the direction norm drops and the functional
+    does not increase beyond rounding.  Returns the last point, F,
+    iteration count and the reason the iteration stopped.
     """
-    n = point[0].dim
-    if span is None:
-        basis = structure_algebra(gamma, Metric.identity(n)).sym_basis
-    else:
-        basis = span
-
-    nd_factor = 1.0 if span is not None else np.sqrt(2.0)
-
-    def dvec_of(p):
-        d = _direction(p)
-        if span is not None:
-            _, coords = _span_project(d, span)
-            return coords
-        return d.coeffs.ravel()
-
-    def move(T, xi, scale=1.0):
-        if span is None:
-            T = _unit(act(expm(combine(scale * xi, basis)), T))
-        else:
-            T = _unit(T.plus(combine(xi, basis), scale))
-        return _evaluate(T, gamma, payload0)
-
     dvec = dvec_of(point)
     nd = float(np.linalg.norm(dvec)) * nd_factor
     stalls = 0
@@ -406,7 +404,7 @@ def _polish(point: tuple, gamma: Structure, payload0, cfg: FlowConfig,
         for i in range(len(basis)):
             xi = np.zeros(len(basis))
             xi[i] = FD_EPS
-            J[:, i] = (dvec_of(move(tensor, xi)) - dvec) / FD_EPS
+            J[:, i] = (dvec_of(move(tensor, combine(xi, basis), 1.0)) - dvec) / FD_EPS
         # Truncated-SVD solve: the finite-difference Jacobian carries noise
         # of order eps_mach / FD_EPS, and the map has an exact nullspace
         # (the stabilizer), so small singular values must be discarded or
@@ -419,10 +417,11 @@ def _polish(point: tuple, gamma: Structure, payload0, cfg: FlowConfig,
         step_norm = float(np.linalg.norm(step))
         if step_norm > 1.0:
             step = step / step_norm
+        gen = combine(step, basis)
         alpha = 1.0
         accepted = None
         while alpha > 2.0**-25:
-            cand = move(tensor, step, alpha)
+            cand = move(tensor, gen, alpha)
             dvec_new = dvec_of(cand)
             nd_new = float(np.linalg.norm(dvec_new)) * nd_factor
             f_new = F_of_ricci(cand[1], cand[2])

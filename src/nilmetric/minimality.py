@@ -54,6 +54,25 @@ class Certificate:
         return self.verdict == MINIMAL
 
 
+def _residual(mu0: SkewTensor, D0: np.ndarray) -> float:
+    """Relative coboundary residual |delta(D0)| / ((1 + |D0|) |mu0|) of a
+    bracket in an orthonormal frame; 0 for the zero bracket."""
+    norm = mu0.norm()
+    if norm == 0.0:
+        return 0.0
+    defect = coboundary(mu0, D0)
+    return float(defect.norm() / ((1.0 + float(np.linalg.norm(D0))) * norm))
+
+
+def _certificate(c: float, D0: np.ndarray, residual: float, G: Metric,
+                 tol: float) -> Certificate:
+    """The Certificate of (c, D0, residual) from the G-orthonormal frame:
+    the verdict at tol and D conjugated back to the G frame."""
+    verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
+    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
+                       verdict=verdict, tolerance=float(tol))
+
+
 def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
                       norm2: float) -> tuple:
     """(c, D0, residual) of the certificate for a bracket mu0 in an
@@ -64,21 +83,7 @@ def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
     else:
         c = float(np.trace(ric_gamma0 @ ric_gamma0)) / scal
     D0 = ric_gamma0 - c * np.eye(mu0.dim)
-    if norm2 == 0.0:
-        residual = 0.0
-    else:
-        defect = coboundary(mu0, D0)
-        residual = defect.norm() / (
-            (1.0 + float(np.linalg.norm(D0))) * np.sqrt(norm2)
-        )
-    return c, D0, float(residual)
-
-
-def _certificate_core(tensor: SkewTensor, G: Metric, gamma: Structure,
-                      allow_scale: bool = False) -> tuple:
-    """(c, D0, residual) in the G-orthonormal frame."""
-    mu0, _, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
-    return frame_certificate(mu0, ric_gamma0, norm2)
+    return c, D0, _residual(mu0, D0)
 
 
 def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
@@ -92,12 +97,10 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     per call or through the NILMETRIC_TOL environment variable.
     """
     tensor, G, gamma = with_defaults(mu, G, gamma)
-    if tol is None:
+    if tol is None:  # read first: a bad NILMETRIC_TOL is reported first
         tol = certification_tolerance()
-    c, D0, residual = _certificate_core(tensor, G, gamma, allow_scale)
-    verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
-    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
-                       verdict=verdict, tolerance=float(tol))
+    mu0, _, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
+    return _certificate(*frame_certificate(mu0, ric_gamma0, norm2), G, tol)
 
 
 def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
@@ -140,15 +143,8 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
         raise NotApplicable(
             f"invariant Ricci blocks are not scalar (deviation {off:.3e})"
         )
-    c = 2.0 * p - q
     D0 = (q - p) * (Q1 @ Q1.T) + 2.0 * (q - p) * (Q2 @ Q2.T)
-    defect = coboundary(mu0, D0)
-    residual = float(
-        defect.norm() / ((1.0 + np.linalg.norm(D0)) * mu0.norm())
-    )
-    verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
-    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
-                       verdict=verdict, tolerance=float(tol))
+    return _certificate(2.0 * p - q, D0, _residual(mu0, D0), G, tol)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,9 @@ from .structures import (
 FORMAT_VERSION = 1
 
 _STRUCTURE_BUILDERS = {
-    "symplectic": lambda payload: symplectic_structure(np.asarray(payload, dtype=float)),
-    "complex": lambda payload: complex_structure(np.asarray(payload, dtype=float)),
-    "hypercomplex": lambda payload: hypercomplex_structure(
-        *[np.asarray(J, dtype=float) for J in payload]
-    ),
+    "symplectic": symplectic_structure,
+    "complex": complex_structure,
+    "hypercomplex": lambda payload: hypercomplex_structure(*payload),
 }
 
 
@@ -209,11 +207,8 @@ def export_problem(tensor: SkewTensor, structure: Structure = None,
     out = {"format": FORMAT_VERSION, "dim": n,
            "bracket": bracket_records(tensor)}
     if structure is not None and structure.tag != "none":
-        if structure.tag == "hypercomplex":
-            payload = [jsonable(J) for J in structure.maps()]
-        else:
-            payload = jsonable(structure.payload)
-        out["structure"] = {"class": structure.tag, "payload": payload}
+        out["structure"] = {"class": structure.tag,
+                            "payload": jsonable(structure.payload)}
     else:
         out["structure"] = {"class": "none"}
     if metric is not None and not metric.is_identity():

@@ -267,29 +267,22 @@ class StructureAlgebra:
         return len(self.skew_basis)
 
 
-def _frame_algebra_parts(gamma: Structure, payload0, n: int):
-    """Symmetric and skew orthonormal bases of the structure algebra,
-    expressed in the orthonormal frame."""
+def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
+    """Bases of the G-symmetric and G-skew parts of the structure algebra.
+
+    Each is an orthonormal nullspace of the constraint rows in the
+    G-orthonormal frame, conjugated back; raises IncompatibleMetric as
+    _transported_payload does.
+    """
+    payload0 = _transported_payload(gamma, G)
     parts = []
-    for part in (sym_basis(n), skew_basis(n)):
+    for part in (sym_basis(gamma.dim), skew_basis(gamma.dim)):
         rows = np.array(
             [_frame_constraint_rows(gamma, payload0, B) for B in part]
         ).T
         ns = svd_nullspace(rows)
-        parts.append(list(combine(ns.T, part)))
-    return parts
-
-
-def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
-    """Bases of the G-symmetric and G-skew parts of the structure algebra.
-
-    They are computed in the G-orthonormal frame and conjugated back;
-    raises IncompatibleMetric as _transported_payload does.
-    """
-    payload0 = _transported_payload(gamma, G)
-    sym_part, skew_part = _frame_algebra_parts(gamma, payload0, gamma.dim)
-    return StructureAlgebra(sym_basis=[_from_frame(A, G) for A in sym_part],
-                            skew_basis=[_from_frame(A, G) for A in skew_part])
+        parts.append([_from_frame(A, G) for A in combine(ns.T, part)])
+    return StructureAlgebra(*parts)
 
 
 def structure_group_basis(gamma: Structure, G: Metric) -> list:
@@ -317,15 +310,12 @@ def _frame_projection(gamma: Structure, payload0, S0: np.ndarray) -> np.ndarray:
 
 
 def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
-                         method: str = "closed",
                          allow_scale: bool = False) -> np.ndarray:
     """Orthogonal projection of a G-symmetric map S onto the symmetric part
-    of the structure algebra, in the trace inner product.
-
-    method "closed" uses the reflection formulas (J = J_G for symplectic);
-    "basis" expands against a computed orthonormal basis.  allow_scale
-    admits symplectic metrics compatible only up to a positive factor
-    (see _transported_payload).
+    of the structure algebra, in the trace inner product, by the reflection
+    formulas (J = J_G for symplectic).  allow_scale admits symplectic
+    metrics compatible only up to a positive factor (see
+    _transported_payload).
     """
     S = np.asarray(S, dtype=float)
     n = gamma.dim
@@ -333,14 +323,7 @@ def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
         raise DimensionMismatch(f"operator shape {S.shape} vs dim {n}")
     payload0 = _transported_payload(gamma, G, allow_scale)
     S0 = G.transport @ S @ G.transport_inv
-    S0 = 0.5 * (S0 + S0.T)
-    if method == "closed":
-        P0 = _frame_projection(gamma, payload0, S0)
-    elif method == "basis":
-        sym_part, _ = _frame_algebra_parts(gamma, payload0, n)
-        P0 = combine([float(np.sum(S0 * B)) for B in sym_part], sym_part)
-    else:
-        raise ValueError(f"unknown projection method {method!r}")
+    P0 = _frame_projection(gamma, payload0, 0.5 * (S0 + S0.T))
     return _from_frame(0.5 * (P0 + P0.T), G)
 
 

@@ -53,6 +53,14 @@ def sp6_basis():
     return nm.structure_group_basis(gamma, nm.Metric.identity(6))
 
 
+def basis_projection(gamma, S):
+    """Reference for invariant_projection at the identity metric: S expanded
+    against the orthonormal basis of the symmetric structure algebra, a
+    constraint nullspace computed without the reflection formulas."""
+    basis = nm.structure_algebra(gamma, nm.Metric.identity(gamma.dim)).sym_basis
+    return sum(float(np.sum(S * B)) * B for B in basis)
+
+
 def count_kernel_calls(monkeypatch, module: str) -> list:
     """Wrap the curvature kernel as `module` calls it; the returned list
     gets the coefficient bytes of each bracket it is called on."""

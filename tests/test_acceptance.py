@@ -18,7 +18,7 @@ from nilmetric.structures import (
     svd_nullspace,
 )
 
-from conftest import perturbed_m26
+from conftest import basis_projection, perturbed_m26
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -269,10 +269,10 @@ def test_criterion_12_projection_correctness():
         for _ in range(100):
             A = rng.standard_normal((n, n))
             S = 0.5 * (A + A.T)
-            P1 = nm.invariant_projection(gamma, G, S, method="closed")
-            P2 = nm.invariant_projection(gamma, G, S, method="basis")
+            P1 = nm.invariant_projection(gamma, G, S)
+            P2 = basis_projection(gamma, S)
             worst_agree = max(worst_agree, np.abs(P1 - P2).max())
-            PP = nm.invariant_projection(gamma, G, P1, method="closed")
+            PP = nm.invariant_projection(gamma, G, P1)
             worst_idem = max(worst_idem, np.abs(PP - P1).max())
             worst_adj = max(worst_adj, np.abs(P1 - P1.T).max())
     ok = (worst_agree <= tol_agree and worst_idem <= tol_proj

@@ -10,6 +10,7 @@ import pytest
 
 import nilmetric as nm
 from nilmetric.cli import main
+from nilmetric.defaults import TOL_JACOBI
 from nilmetric.problemfile import jsonable
 
 
@@ -211,6 +212,29 @@ def test_check_scales_integrability_bound_with_norm(capsys, tmp_path):
         nm.bracket_descent(bent, p.structure)
     with pytest.raises(nm.NotClosed):
         nm.hermitian_obstruction(bent, gamma=p.structure)
+
+
+@pytest.mark.parametrize("side", [0.999, 1.001])
+def test_check_and_bracket_share_the_jacobi_bound(capsys, tmp_path, side):
+    # m26 at norm 10 plus t times the X5 component of mu(X3, X4): the
+    # Jacobi sum is linear in t, so t can sit just inside or just outside
+    # TOL_JACOBI (1 + |mu|^2) = 1.01e-8; check and Bracket must agree
+    m26 = nm.catalog_get("m26").tensor
+    base = m26.scaled(10.0 / m26.norm())
+    bend = nm.SkewTensor.from_entries(6, [(3, 4, 5, 1.0)])
+    slope = nm.jacobi_residual(base.plus(bend))
+    t = side * TOL_JACOBI * (1.0 + base.norm2()) / slope
+    mu = base.plus(bend, t)
+    path = write_problem(tmp_path, "edge.json", mu)
+    _, out, _ = run(capsys, ["check", path])
+    report = json.loads(out)
+    assert report["checks"]["jacobi"] is (side < 1.0)
+    assert report["nilpotent"] is True
+    if side < 1.0:
+        assert nm.Bracket(mu).nilpotency_index == report["nilpotency_index"]
+    else:
+        with pytest.raises(nm.InvalidBracket):
+            nm.Bracket(mu)
 
 
 def test_fingerprint_and_distinguish(capsys, tmp_path):

@@ -13,6 +13,8 @@ from nilmetric.structures import (
     full_ambient_basis,
 )
 
+from conftest import basis_projection
+
 TOL = 1e-12
 
 
@@ -140,8 +142,8 @@ def test_projection_closed_equals_basis():
         for _ in range(10):
             A = rng.standard_normal((n, n))
             S = 0.5 * (A + A.T)
-            P1 = invariant_projection(gamma, G, S, method="closed")
-            P2 = invariant_projection(gamma, G, S, method="basis")
+            P1 = invariant_projection(gamma, G, S)
+            P2 = basis_projection(gamma, S)
             assert np.abs(P1 - P2).max() < 1e-9
 
 
