@@ -12,6 +12,10 @@ Conventions used throughout the package:
   each stored i < j coefficient counts twice: ``inner(mu, mu) =
   2 * sum(coeffs**2)``.  This is the unique convention under which the
   scalar curvature identity scal = -1/4 * |mu|^2 holds exactly.
+- ``act(g, mu)`` works from the stored pair rows: it contracts the output
+  slot there (``coeffs @ g.T``), scatters the rows into one antisymmetric
+  matrix per output index and moves the two input slots by one batched
+  congruence ``ginv^T T ginv``, the hot path of the metric flow.
 - ``coboundary(mu, A)`` is delta_mu(A) = A mu(., .) - mu(A., .) - mu(., A.),
   so delta_mu(I) = -mu.
 - General metrics are handled by Cholesky transport: with G = L L^T and
@@ -338,12 +342,19 @@ def act(g: np.ndarray, mu: SkewTensor) -> SkewTensor:
             RuntimeWarning,
             stacklevel=2,
         )
-    # (g.mu)[a,b,m] = ginv[i,a] ginv[j,b] mu[i,j,k] g[m,k], as three
-    # contractions to avoid per-call einsum path planning
-    T = np.tensordot(mu.full(), g, axes=(2, 1))       # ijk,mk -> ijm
-    T = np.tensordot(ginv, T, axes=(0, 0))            # ia,ijm -> ajm
-    T = np.tensordot(ginv, T, axes=(0, 1))            # jb,ajm -> bam
-    return SkewTensor.from_full(np.ascontiguousarray(T.transpose(1, 0, 2)))
+    # (g.mu)[a,b,m] = ginv[i,a] ginv[j,b] mu[i,j,k] g[m,k], held as T[m,a,b]:
+    # the output slot on the stored pair rows, C[m,p] = g_m . mu_p, scattered
+    # into one antisymmetric n x n matrix per m, then one batched congruence
+    # (the i sum first); the check is SkewTensor.from_full's
+    iu, ju = pair_index(n)
+    C = (mu.coeffs @ g.T).T
+    T = np.zeros((n, n, n))
+    T[:, iu, ju] = C
+    T[:, ju, iu] = -C
+    T = ginv.T @ T @ ginv
+    if np.abs(T + T.transpose(0, 2, 1)).max() > 1e-12 * (1 + np.abs(T).max()):
+        raise ValueError("array is not antisymmetric in its first two slots")
+    return SkewTensor(n, T[:, iu, ju].T.copy())
 
 
 def coboundary(mu: SkewTensor, A: np.ndarray) -> SkewTensor:

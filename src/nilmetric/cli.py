@@ -121,6 +121,7 @@ def cmd_flow(args) -> int:
         "cert_residual_final": last[3],
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
+        "stats": trace.stats,
         "normalized": not args.unnormalized,
         "sign": args.sign,
     })

@@ -60,6 +60,7 @@ from .structures import (
 POLISH_THRESHOLD = 1e-3
 ESCAPE_FACTOR = 10.0
 MAX_HALVINGS = 40
+REGROW_AFTER = 8  # accepted steps in a row before a halved step doubles
 MAX_POLISH_ITERS = 40
 FD_EPS = 1e-7
 
@@ -100,6 +101,7 @@ class FlowTrace:
     no_descent: bool = False
     states: list = field(default_factory=list)  # metric matrices at samples
     stop_reason: str = None  # see metric_flow and bracket_descent
+    stats: dict = field(default_factory=dict)  # metric_flow's counters
 
 
 def _unit(tensor: SkewTensor) -> SkewTensor:
@@ -123,15 +125,27 @@ def _sample_row(point: tuple, t: float) -> tuple:
 
 
 def _flow_field(tensor: SkewTensor, gamma: Structure, h: np.ndarray,
-                payload0, sign: float, renorm: bool) -> np.ndarray:
-    """h' for the frame h; G = h^T h then solves the metric flow."""
-    _, ric_gamma, norm2 = frame_curvature(act(h, tensor), gamma, payload0)
+                payload0, sign: float, renorm: bool,
+                mu_h: SkewTensor = None) -> np.ndarray:
+    """h' for the frame h; G = h^T h then solves the metric flow.  mu_h is
+    act(h, tensor) when the caller already has it."""
+    if mu_h is None:
+        mu_h = act(h, tensor)
+    _, ric_gamma, norm2 = frame_curvature(mu_h, gamma, payload0)
     A = ric_gamma
     if renorm:
         scal = -0.25 * norm2
         if abs(scal) > 1e-13:
             A = A - (float(np.trace(A @ A)) / scal) * np.eye(len(h))
     return (0.5 * sign) * (A @ h)
+
+
+def _positive_definite(M: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def metric_flow(mu, gamma: Structure, G0: Metric,
@@ -144,12 +158,17 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     samples and at the end.  Fixed-step integration (rk4 or euler); a step
     is rejected and halved when its change of G leaves the positive-definite
     cone, when the new frame is singular or, for the normalized flow, when
-    the scalar curvature drifts beyond 1e-8 in one step.  Raises
-    StepCollapse when halving underflows, IncompatibleMetric when G0 is not
-    compatible with the structure.  Symplectic trajectories are followed in
-    the conformal cone (the flow scales the form).  The run stops at the
-    horizon or after cfg.max_iter * 100 attempted steps; trace.stop_reason
-    says which ("horizon" or "step_cap").
+    the scalar curvature drifts beyond 1e-8 in one step.  After
+    REGROW_AFTER accepted steps in a row the step doubles again, up to
+    cfg.step.  Raises StepCollapse when halving underflows,
+    IncompatibleMetric when G0 is not compatible with the structure.
+    Symplectic trajectories are followed in the conformal cone (the flow
+    scales the form).  The run stops at the horizon or after cfg.max_iter *
+    100 attempted steps; trace.stop_reason says which ("horizon" or
+    "step_cap").  trace.stats counts the field evaluations, the accepted
+    steps and the rejected ones by reason ("cone", "error" for a
+    NilmetricError or LinAlgError, "scal_drift"), with the smallest and the
+    final step size.
     """
     tensor = as_tensor(mu)
     if cfg is None:
@@ -158,25 +177,33 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         gamma = no_structure(tensor.dim)
     payload0 = _transported_payload(gamma, G0, allow_scale=True)
     sign = 1.0 if cfg.sign == "plus" else -1.0
+    evals = 0
 
-    def field(state):
-        return _flow_field(tensor, gamma, state, payload0, sign, cfg.renorm)
+    def field(state, mu_state=None):
+        nonlocal evals
+        evals += 1
+        return _flow_field(tensor, gamma, state, payload0, sign, cfg.renorm,
+                           mu_state)
 
     h = G0.transport
     t = 0.0
-    dt = cfg.step
+    dt = min_step = cfg.step
     trace = FlowTrace()
-    point = _evaluate(act(h, tensor), gamma, payload0)
+    mu_h = act(h, tensor)  # the bracket in the frame h, reused by k1
+    point = _evaluate(mu_h, gamma, payload0)
     trace.samples.append(_sample_row(point, t))
     trace.states.append(h.T @ h)
     scal = -0.25 * point[2]
     iters = 0
     accepted = 0
+    streak = 0
+    rejected = {"cone": 0, "error": 0, "scal_drift": 0}
     while t < cfg.horizon - 1e-15 and iters < cfg.max_iter * 100:
         iters += 1
         dt_try = min(dt, cfg.horizon - t)
+        reason = None
         try:
-            k1 = field(h)
+            k1 = field(h, mu_h)
             if cfg.integrator == "euler":
                 h_new = h + dt_try * k1
                 dG = dt_try * (h.T @ k1)
@@ -193,31 +220,39 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
             # G plus dt times the RK4 combination of the stage velocities
             # of G = h^T h must stay positive definite, as it had to when G
             # was the state: a step across a blow-up of the flow fails here
-            np.linalg.cholesky(h.T @ h + dG + dG.T)
-            mu_new = act(h_new, tensor)
-        except (NilmetricError, np.linalg.LinAlgError):
-            mu_new = None
-        if mu_new is not None and cfg.renorm:
-            scal_new = -0.25 * mu_new.norm2()
-            if abs(scal_new - scal) > 1e-8 * max(1.0, abs(scal)):
-                mu_new = None
+            if not _positive_definite(h.T @ h + dG + dG.T):
+                reason = "cone"
             else:
-                scal = scal_new
-        if mu_new is None:
+                mu_new = act(h_new, tensor)
+                scal_new = -0.25 * mu_new.norm2()
+                if cfg.renorm and abs(scal_new - scal) > 1e-8 * max(1.0, abs(scal)):
+                    reason = "scal_drift"
+        except (NilmetricError, np.linalg.LinAlgError):
+            reason = "error"
+        if reason is not None:
+            rejected[reason] += 1
+            streak = 0
             dt = 0.5 * dt
+            min_step = min(min_step, dt)
             if dt < cfg.step * 2.0**-MAX_HALVINGS:
                 raise StepCollapse(f"step underflow at t = {t:.6g}")
             continue
-        h = h_new
+        h, mu_h, scal = h_new, mu_new, scal_new
         t += dt_try
         accepted += 1
+        streak += 1
+        if streak == REGROW_AFTER:
+            dt, streak = min(2.0 * dt, cfg.step), 0
         at_end = t >= cfg.horizon - 1e-15
         if accepted % cfg.sample_every == 0 or at_end:
-            trace.samples.append(_sample_row(_evaluate(mu_new, gamma, payload0), t))
+            trace.samples.append(_sample_row(_evaluate(mu_h, gamma, payload0), t))
             trace.states.append(h.T @ h)
     trace.final_state = Metric(h.T @ h)
     trace.converged = bool(t >= cfg.horizon - 1e-12)
     trace.stop_reason = "horizon" if t >= cfg.horizon - 1e-15 else "step_cap"
+    trace.stats = {"field_evals": evals, "accepted": accepted,
+                   "rejected": rejected, "min_step": min_step,
+                   "final_step": dt}
     return trace
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures: bracket corpora and perturbed starting points."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -81,3 +84,29 @@ def perturbed_m26(sp6_basis, rng, scale=0.3):
     xi = sum(c * B for c, B in zip(coeffs, sp6_basis))
     xi *= scale / np.linalg.norm(xi) * np.sqrt(len(sp6_basis))
     return nm.act(expm(xi), nm.m26_point(1.0, 0.0).tensor)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """bench/<name>.py loaded by path; the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def coarse_flow_start():
+    """(m26 point, G0) of the benchmark's coarse CLI flow: m26 at a metric
+    perturbed by exp(xi), xi drawn from default_rng(0) at scale 0.25 as in
+    bench/workloads.py (perturbation and build_cli)."""
+    oracle = bench_module("oracle")
+    p = nm.m26_point(1.0, 0.0)
+    basis = oracle.full_algebra_basis(p.structure.tag, p.structure.payload, 6)
+    rng = np.random.default_rng(0)
+    xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    xi *= 0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi)
+    phi = oracle.expm(xi)
+    return p, nm.Metric(phi.T @ phi)

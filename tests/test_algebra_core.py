@@ -1,8 +1,6 @@
 """Tensor container, bracket validation, group action and derivations."""
 
-import importlib.util
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +12,9 @@ from nilmetric.algebra_core import (combine, expm, expm_skew, pair_index,
                                     svd_nullspace, sym_basis, skew_basis,
                                     triple_index)
 
-TOL = 1e-12
+from conftest import bench_module
 
-ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+TOL = 1e-12
 
 
 def test_ordered_pairs_count():
@@ -50,9 +48,7 @@ def test_layout_round_trips(t):
 
 def test_oracle_layout_matches_full():
     # the benchmark's oracle hard-codes the coefficient layout
-    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
+    oracle = bench_module("oracle")
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
@@ -165,6 +161,38 @@ def test_act_identity_and_composition():
     lhs = nm.act(g, nm.act(h, t)).full()
     rhs = nm.act(g @ h, t).full()
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _well_conditioned(rng, n):
+    """Q diag(s) with Q orthogonal and s in [0.5, 2]: condition at most 4."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * rng.uniform(0.5, 2.0, n)
+
+
+def test_act_matches_direct_einsum():
+    # an independent reference: (g.mu)[a,b,m] = ginv[i,a] ginv[j,b]
+    # mu[i,j,k] g[m,k] as one einsum over the full array
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        for _ in range(5):
+            t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+            g = _well_conditioned(rng, n)
+            ginv = np.linalg.inv(g)
+            want = np.einsum("ia,jb,ijk,mk->abm", ginv, ginv, t.full(), g)
+            got = nm.act(g, t).full()
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_act_composition(n, seed):
+    rng = np.random.default_rng(seed)
+    t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+    g = _well_conditioned(rng, n)
+    h = _well_conditioned(rng, n)
+    want = nm.act(g @ h, t).coeffs
+    got = nm.act(g, nm.act(h, t)).coeffs
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_act_rejects_singular_map():

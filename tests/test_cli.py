@@ -161,6 +161,10 @@ def test_flow_csv_and_summary(capsys, tmp_path):
     assert payload["stop_reason"] == "horizon"
     assert payload["t_final"] == pytest.approx(0.2, abs=1e-12)
     assert abs(payload["scal_final"] - payload["scal_initial"]) < 1e-8
+    assert payload["stats"] == {"field_evals": 80, "accepted": 20,
+                                "rejected": {"cone": 0, "error": 0,
+                                             "scal_drift": 0},
+                                "min_step": 1e-2, "final_step": 1e-2}
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,scal,F,cert_residual"
     assert len(lines) == 22  # initial sample + 20 accepted steps

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import nilmetric as nm
 
-from conftest import count_kernel_calls, perturbed_m26
+from conftest import coarse_flow_start, count_kernel_calls, perturbed_m26
 
 
 def test_zero_bracket_flow_is_stationary():
@@ -306,8 +306,9 @@ def test_frame_flow_matches_metric_state_rk4(preset):
 
 
 def test_flow_works_in_the_frame(monkeypatch):
-    # one Metric (the final one) and one kernel call per field evaluation
-    # and per sample
+    # one Metric (the final one), one kernel call per field evaluation and
+    # per sample, and one act per stage: the start's act serves the first
+    # stage, and each accepted step's act serves the next step's first stage
     p = nm.m26_point(1.0, 0.0)
     G0 = nm.Metric(np.diag([1.0, 2.0, 3.0, 1 / 3.0, 1 / 2.0, 1.0]))
     metrics = []
@@ -319,12 +320,67 @@ def test_flow_works_in_the_frame(monkeypatch):
 
     monkeypatch.setattr(nm.Metric, "__init__", counted_init)
     kernel_calls = count_kernel_calls(monkeypatch, "nilmetric.flows")
+    acts = []
+
+    def counted_act(g, mu):
+        acts.append(1)
+        return nm.act(g, mu)
+
+    monkeypatch.setattr("nilmetric.flows.act", counted_act)
     trace = nm.metric_flow(p.tensor, p.structure, G0,
                            nm.FlowConfig(step=1e-2, horizon=0.3,
                                          sample_every=10))
     assert trace.converged
     assert len(metrics) == 1
     assert len(kernel_calls) == 4 * 30 + len(trace.samples)
+    assert len(acts) == 1 + 4 * 30
+    assert trace.stats == {"field_evals": 4 * 30, "accepted": 30,
+                           "rejected": {"cone": 0, "error": 0, "scal_drift": 0},
+                           "min_step": 1e-2, "final_step": 1e-2}
+
+
+def test_coarse_flow_regrows_its_step():
+    # the benchmark's coarse CLI flow: without regrowth it halved to
+    # cfg.step / 8 and took 161 accepted steps and 656 field evaluations.
+    # Every step of cfg.step / 2 drifts scal beyond 1e-8 on this run, so
+    # its step settles at cfg.step / 4.
+    p, G0 = coarse_flow_start()
+    cfg = nm.FlowConfig(step=0.05)
+    trace = nm.metric_flow(p.tensor, p.structure, G0, cfg)
+    stats = trace.stats
+    assert trace.converged
+    assert stats["field_evals"] < 656
+    assert stats["field_evals"] == 4 * (stats["accepted"]
+                                        + sum(stats["rejected"].values()))
+    assert stats["accepted"] == len(trace.samples) - 1
+    assert stats["rejected"]["scal_drift"] > 0
+    assert stats["min_step"] < stats["final_step"] <= cfg.step
+    scals = [row[1] for row in trace.samples]
+    assert abs(scals[-1] - scals[0]) <= 1e-6 * abs(scals[0])
+    # the step grows only after 8 accepted steps of one size
+    # (flows.REGROW_AFTER; the last step is cut at the horizon)
+    steps = np.diff([row[0] for row in trace.samples])[:-1]
+    grown = np.flatnonzero(steps[1:] > steps[:-1] * 1.5) + 1
+    assert len(grown) > 0
+    for i in grown:
+        assert i >= 8
+        assert np.allclose(steps[i - 8:i], steps[i - 1], rtol=1e-9, atol=0.0)
+
+
+def test_flow_step_grows_back_to_cfg_step():
+    # hc-g3 from a large perturbation: early steps of cfg.step drift scal,
+    # and once the flow calms down the step returns to cfg.step
+    p = nm.catalog_get("hc-g3")
+    basis = nm.structure_group_basis(p.structure, nm.Metric.identity(8))
+    rng = np.random.default_rng(0)
+    xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    phi = expm(0.8 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
+    cfg = nm.FlowConfig(step=0.05)
+    trace = nm.metric_flow(p.tensor, p.structure, nm.Metric(phi.T @ phi), cfg)
+    assert trace.converged
+    assert trace.stats["rejected"]["scal_drift"] > 0
+    assert trace.stats["min_step"] < cfg.step
+    assert trace.stats["final_step"] == cfg.step
 
 
 def test_descent_calls_kernel_once_per_bracket(sp6_basis, monkeypatch):
