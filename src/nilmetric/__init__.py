@@ -32,7 +32,6 @@ from .catalog import (
     standard_structure,
     surface_points,
     symplectic_family,
-    symplectic_family_span,
 )
 from .curvature import (
     CurvatureReport,

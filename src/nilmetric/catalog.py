@@ -152,12 +152,6 @@ def symplectic_family(a, b, c, d, e, f) -> FamilyPoint:
     return _validated_point("symplectic-family", params, tensor, structure)
 
 
-def symplectic_family_span() -> list:
-    """Coordinate tensors of the six family slots (unit coefficients)."""
-    slots = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (2, 3, 5), (2, 4, 6)]
-    return [SkewTensor.from_entries(6, [(i, j, k, 1.0)]) for i, j, k in slots]
-
-
 def m26_point(x: float, y: float) -> FamilyPoint:
     """Critical point of the curvature functional on the symplectic family,
     parametrized by the ellipse x^2 + xy + y^2 = 1.

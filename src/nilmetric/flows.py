@@ -248,8 +248,8 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
             trace.samples.append(_sample_row(_evaluate(mu_h, gamma, payload0), t))
             trace.states.append(h.T @ h)
     trace.final_state = Metric(h.T @ h)
-    trace.converged = bool(t >= cfg.horizon - 1e-12)
     trace.stop_reason = "horizon" if t >= cfg.horizon - 1e-15 else "step_cap"
+    trace.converged = trace.stop_reason == "horizon"
     trace.stats = {"field_evals": evals, "accepted": accepted,
                    "rejected": rejected, "min_step": min_step,
                    "final_step": dt}
@@ -280,34 +280,28 @@ def _descent_sample(point: tuple, k: int) -> tuple:
     return _sample_row(point, k)
 
 
-def _orthonormalize_span(basis: list) -> list:
-    """Gram-Schmidt in the tensor inner product; drops dependent members."""
-    out = []
-    for b in basis:
-        v = b
-        for u in out:
-            v = v.plus(u, -inner(v, u))
-        norm = v.norm()
-        if norm > 1e-12:
-            out.append(v.scaled(1.0 / norm))
-    return out
+def _move(T: SkewTensor, gen: np.ndarray, eta: float, gamma: Structure,
+          payload0) -> tuple:
+    """The evaluated bracket normalize(act(expm(eta * gen), T)): a step
+    along the structure-group orbit of T."""
+    return _evaluate(_unit(act(expm(eta * gen), T)), gamma, payload0)
 
 
-def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
-                    subspace: list = None) -> FlowTrace:
+def _dvec(point: tuple) -> np.ndarray:
+    """The direction's coefficient vector, which _polish drives to zero."""
+    return _direction(point).coeffs.ravel()
+
+
+def bracket_descent(mu, gamma: Structure = None,
+                    cfg: FlowConfig = None) -> FlowTrace:
     """Minimize the curvature functional over the unit sphere of brackets.
 
-    Orbit mode (default) moves along the structure-group orbit of the
-    start, mu <- normalize(act(expm(eta * xi), mu)) with xi in the
-    symmetric structure algebra at the identity, preserving the Jacobi
-    identity and the integrability constraint to rounding; at a converged
-    fixed point the minimality certificate passes.  With subspace (a list
-    of SkewTensor spanning a linear slice of V) the moves are
-    mu <- normalize(mu + eta * xi) with xi in the orthonormalized span, and
-    the direction is projected onto it.  The mode is chosen once, here; it
-    fixes the move basis, the move, phase one's generator (-Ric^gamma, or
-    the projected direction) and the Gauss-Newton direction vector, which
-    phase one and _polish share.
+    The moves follow the structure-group orbit of the start,
+    mu <- normalize(act(expm(eta * xi), mu)) with xi in the symmetric
+    structure algebra at the identity, preserving the Jacobi identity and
+    the integrability constraint to rounding; at a converged fixed point
+    the minimality certificate passes.  Phase one's generator is
+    -Ric^gamma; the Gauss-Newton phase (_polish) solves for xi.
 
     The trace samples are (iteration, scal, F, certificate residual).  The
     no_descent flag reports a run that did not converge (not fatal), and
@@ -330,38 +324,6 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
         )
     payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
 
-    if subspace is None:
-        nd_factor = np.sqrt(2.0)  # the coefficient norm counts pairs once
-
-        def move_basis():  # built only when the Gauss-Newton phase runs
-            return structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis
-
-        def move(T, gen, eta):
-            return _evaluate(_unit(act(expm(eta * gen), T)), gamma, payload0)
-
-        def dvec_of(point):
-            return _direction(point).coeffs.ravel()
-
-        def generator(point):
-            return -point[1], _direction(point).norm()
-    else:
-        span = _orthonormalize_span(subspace)
-        nd_factor = 1.0
-
-        def move_basis():
-            return span
-
-        def move(T, gen, eta):
-            return _evaluate(_unit(T.plus(gen, eta)), gamma, payload0)
-
-        def dvec_of(point):
-            d = _direction(point)
-            return np.array([inner(d, b) for b in span])
-
-        def generator(point):
-            d = combine(dvec_of(point), span)
-            return d, d.norm()
-
     trace = FlowTrace()
     k = 0
     point = _evaluate(tensor, gamma, payload0)
@@ -369,15 +331,14 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
     f_cur = trace.samples[-1][2]
     best = (np.inf, point)
     polish_from = None
+    stop = None  # set when phase one ends the run
     for _ in range(cfg.max_iter):
-        gen, nd = generator(point)
+        nd = _direction(point).norm()
         if nd < best[0]:
             best = (nd, point)
         if nd <= cfg.tol_converge:
-            trace.final_state = point[0]
-            trace.converged = True
-            trace.stop_reason = "converged"
-            return trace
+            stop = "converged"
+            break
         if nd <= POLISH_THRESHOLD:
             polish_from = point
             break
@@ -387,47 +348,49 @@ def bracket_descent(mu, gamma: Structure = None, cfg: FlowConfig = None,
         eta = 1.0
         accepted = None
         while eta > 2.0**-MAX_HALVINGS:
-            cand = move(point[0], gen, eta)
+            cand = _move(point[0], -point[1], eta, gamma, payload0)
             f_new = F_of_ricci(cand[1], cand[2])
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
                 accepted = (cand, f_new)
                 break
             eta *= 0.5
         if accepted is None:
-            trace.no_descent = True
-            trace.final_state = point[0]
-            trace.converged = False
-            trace.stop_reason = "line_search"
-            return trace
+            stop = "line_search"
+            break
         point, f_cur = accepted
         k += 1
         trace.samples.append(_descent_sample(point, k))
+    else:
+        if best[0] < 1e-2:
+            polish_from = best[1]
     reason = "iteration_cap"
-    if polish_from is None:
-        polish_from = best[1] if best[0] < 1e-2 else None
     if polish_from is not None:
-        point, f_cur, k, reason = _polish(polish_from, move_basis(), move,
-                                          dvec_of, nd_factor, cfg, trace, k,
-                                          f_cur)
+        basis = structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis
+        point, f_cur, k, reason = _polish(polish_from, basis, gamma, payload0,
+                                          cfg, trace, k, f_cur)
+    if stop is None:
+        converged = _direction(point).norm() <= cfg.tol_converge
+        stop = "converged" if converged else reason
     trace.final_state = point[0]
-    trace.converged = bool(generator(point)[1] <= cfg.tol_converge)
+    trace.stop_reason = stop
+    trace.converged = stop == "converged"
     trace.no_descent = not trace.converged
-    trace.stop_reason = "converged" if trace.converged else reason
     return trace
 
 
-def _polish(point: tuple, basis: list, move, dvec_of, nd_factor: float,
+def _polish(point: tuple, basis: list, gamma: Structure, payload0,
             cfg: FlowConfig, trace: FlowTrace, k: int, f_cur: float):
-    """Damped Gauss-Newton on the direction vector dvec_of(point), solving
-    for coordinates xi in the move basis; a trial is move(T, combine(xi,
-    basis), alpha).  The direction norm is |dvec| * nd_factor.
+    """Damped Gauss-Newton on the direction vector _dvec(point), solving
+    for coordinates xi in the basis of the symmetric structure algebra; a
+    trial is _move(T, combine(xi, basis), alpha).
 
     Steps are accepted when the direction norm drops and the functional
     does not increase beyond rounding.  Returns the last point, F,
     iteration count and the reason the iteration stopped.
     """
-    dvec = dvec_of(point)
-    nd = float(np.linalg.norm(dvec)) * nd_factor
+    root2 = np.sqrt(2.0)  # the coefficient norm counts pairs once
+    dvec = _dvec(point)
+    nd = float(np.linalg.norm(dvec)) * root2
     stalls = 0
     reason = "iteration_cap"
     for _ in range(MAX_POLISH_ITERS):
@@ -436,10 +399,9 @@ def _polish(point: tuple, basis: list, move, dvec_of, nd_factor: float,
             break
         tensor = point[0]
         J = np.empty((dvec.size, len(basis)))
-        for i in range(len(basis)):
-            xi = np.zeros(len(basis))
-            xi[i] = FD_EPS
-            J[:, i] = (dvec_of(move(tensor, combine(xi, basis), 1.0)) - dvec) / FD_EPS
+        for i, B in enumerate(basis):
+            moved = _move(tensor, FD_EPS * B, 1.0, gamma, payload0)
+            J[:, i] = (_dvec(moved) - dvec) / FD_EPS
         # Truncated-SVD solve: the finite-difference Jacobian carries noise
         # of order eps_mach / FD_EPS, and the map has an exact nullspace
         # (the stabilizer), so small singular values must be discarded or
@@ -456,9 +418,9 @@ def _polish(point: tuple, basis: list, move, dvec_of, nd_factor: float,
         alpha = 1.0
         accepted = None
         while alpha > 2.0**-25:
-            cand = move(tensor, gen, alpha)
-            dvec_new = dvec_of(cand)
-            nd_new = float(np.linalg.norm(dvec_new)) * nd_factor
+            cand = _move(tensor, gen, alpha, gamma, payload0)
+            dvec_new = _dvec(cand)
+            nd_new = float(np.linalg.norm(dvec_new)) * root2
             f_new = F_of_ricci(cand[1], cand[2])
             if nd_new < nd and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur)):
                 accepted = (cand, dvec_new, nd_new, f_new)

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Bracket, Metric, SkewTensor, _from_frame, coboundary
+from .algebra_core import (Bracket, Metric, SkewTensor, _center_split,
+                           _from_frame, _require_two_step, coboundary)
 from .curvature import _frame_data, curvature_report
 from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import (
     DimensionMismatch,
     NotApplicable,
     NotClosed,
+    NotTwoStep,
     WrongTag,
 )
 from .structures import (
@@ -113,9 +115,6 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
     NotApplicable when the bracket is not 2-step or the blocks are not
     scalar; the result agrees with certify_minimal whenever it applies.
     """
-    from .algebra_core import _center_split, _require_two_step
-    from .errors import NotTwoStep
-
     tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:
         tol = certification_tolerance()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra_core import Metric, SkewTensor
 from .catalog import FamilyPoint, standard_structure
-from .errors import NotPositiveDefinite, ParseError
+from .errors import NilmetricError, NotPositiveDefinite, ParseError
 from .structures import (
     Structure,
     complex_structure,
@@ -25,6 +25,9 @@ from .structures import (
 )
 
 FORMAT_VERSION = 1
+
+# what float() raises on a non-number, or on an int beyond the float range
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
 
 _STRUCTURE_BUILDERS = {
     "symplectic": symplectic_structure,
@@ -50,7 +53,7 @@ def _require(cond: bool, message: str):
 def _as_matrix(value, n: int, what: str) -> np.ndarray:
     try:
         M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except _NOT_A_NUMBER as exc:
         raise ParseError(f"{what}: not a numeric matrix") from exc
     _require(M.shape == (n, n), f"{what}: expected shape {n}x{n}, got {M.shape}")
     _require(bool(np.all(np.isfinite(M))), f"{what}: entries must be finite")
@@ -90,7 +93,7 @@ def parse_problem(data: dict, source: str = "problem") -> ProblemFile:
         _require(i < j, f"{where}: requires i < j, got i={i}, j={j}")
         try:
             coeff = float(rec["coeff"])
-        except (TypeError, ValueError) as exc:
+        except _NOT_A_NUMBER as exc:
             raise ParseError(f"{where}: 'coeff' must be a real number") from exc
         _require(np.isfinite(coeff), f"{where}: 'coeff' must be finite")
         entries.append((i, j, k, coeff))
@@ -99,37 +102,39 @@ def parse_problem(data: dict, source: str = "problem") -> ProblemFile:
     record = data.get("structure", {"class": "none"})
     _require(isinstance(record, dict), f"{source}: 'structure' must be an object")
     tag = record.get("class", "none")
+    _require(isinstance(tag, str),
+             f"{source}: structure 'class' must be a string")
     if tag == "none":
         structure = no_structure(dim)
     else:
         _require(tag in _STRUCTURE_BUILDERS,
                  f"{source}: structure class {tag!r} unknown")
         payload = record.get("payload", "standard")
+        where = f"{source}: structure payload"
+        if isinstance(payload, str):
+            _require(payload == "standard", f"{where} string must be 'standard'")
+            arg = None
+        elif tag == "hypercomplex":
+            _require(isinstance(payload, list) and len(payload) == 3,
+                     f"{source}: hypercomplex payload needs three matrices")
+            arg = [_as_matrix(J, dim, where) for J in payload]
+        else:
+            arg = _as_matrix(payload, dim, where)
+        # finite entries can still overflow in the builder's checks: such a
+        # payload is rejected, not warned about and passed on
         try:
-            if isinstance(payload, str):
-                _require(payload == "standard",
-                         f"{source}: structure payload string must be 'standard'")
-                structure = standard_structure(tag, dim)
-            elif tag == "hypercomplex":
-                _require(isinstance(payload, list) and len(payload) == 3,
-                         f"{source}: hypercomplex payload needs three matrices")
-                structure = _STRUCTURE_BUILDERS[tag](
-                    [_as_matrix(J, dim, f"{source}: structure payload") for J in payload]
-                )
-            else:
-                structure = _STRUCTURE_BUILDERS[tag](
-                    _as_matrix(payload, dim, f"{source}: structure payload")
-                )
-        except ParseError:
-            raise
-        except Exception as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                structure = (standard_structure(tag, dim) if arg is None
+                             else _STRUCTURE_BUILDERS[tag](arg))
+        except (NilmetricError, FloatingPointError) as exc:
             raise ParseError(f"{source}: invalid structure payload ({exc})") from exc
 
     if "metric" in data and data["metric"] is not None:
         M = _as_matrix(data["metric"], dim, f"{source}: metric")
         try:
-            metric = Metric(M)
-        except NotPositiveDefinite as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                metric = Metric(M)
+        except (NotPositiveDefinite, FloatingPointError) as exc:
             raise ParseError(f"{source}: metric: {exc}") from exc
     else:
         metric = Metric.identity(dim)
@@ -139,7 +144,7 @@ def parse_problem(data: dict, source: str = "problem") -> ProblemFile:
     if "tol" in options:
         try:
             tol = float(options["tol"])
-        except (TypeError, ValueError) as exc:
+        except _NOT_A_NUMBER as exc:
             raise ParseError(f"{source}: options.tol must be a real number") from exc
         _require(tol > 0, f"{source}: options.tol must be positive")
     return ProblemFile(dim=dim, tensor=tensor, structure=structure,

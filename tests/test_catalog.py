@@ -63,20 +63,6 @@ def test_symplectic_family_keeps_non_lie_tables():
     assert p.validation["lcs_dims"] == [6, 4, 3, 2, 1, 0]
 
 
-def test_symplectic_family_span_slots():
-    span = nm.symplectic_family_span()
-    assert len(span) == 6
-    for i, s in enumerate(span):
-        for j, t in enumerate(span):
-            expected = 2.0 if i == j else 0.0
-            assert nm.inner(s, t) == pytest.approx(expected)
-    recombined = nm.symplectic_family(1, 2, 3, 4, 5, 6).tensor
-    manual = np.zeros((6, 6, 6))
-    for coeff, s in zip([1, 2, 3, 4, 5, 6], span):
-        manual += coeff * s.full()
-    assert np.abs(recombined.full() - manual).max() == 0.0
-
-
 def test_complex_curve_scale_parameter():
     p = nm.complex_curve(1.0)
     assert p.params["t"] == 1.0

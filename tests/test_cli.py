@@ -97,6 +97,17 @@ def test_check_malformed_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("tag", [[], {}])
+def test_check_rejects_unhashable_structure_class(capsys, tmp_path, tag):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": 1, "dim": 3, "bracket": [],
+                                "structure": {"class": tag}}))
+    code, _, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert "structure 'class' must be a string" in err
+    assert "Traceback" not in err
+
+
 def test_curvature_report_fields(capsys, tmp_path):
     p = nm.m26_point(1.0, 0.0)
     path = write_problem(tmp_path, "m26.json", p.tensor, p.structure)

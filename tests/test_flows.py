@@ -174,53 +174,6 @@ def test_descent_direction_is_sphere_gradient(sp6_basis):
     assert checked >= 4
 
 
-def _closed_slice() -> list:
-    """A linear slice of closed symplectic brackets: the closedness
-    constraint ties the last family slot to the sum of the first and third."""
-    a, b, c, d, e, f = nm.symplectic_family_span()
-    return [
-        nm.SkewTensor.from_full(a.full() + f.full()),
-        b,
-        nm.SkewTensor.from_full(c.full() + f.full()),
-        d,
-        e,
-    ]
-
-
-def test_subspace_descent_on_closed_slice():
-    slice_basis = _closed_slice()
-    gamma = nm.standard_structure("symplectic", 6)
-    start = nm.SkewTensor.from_full(
-        0.9 * slice_basis[0].full() + 0.4 * slice_basis[1].full()
-        + 1.2 * slice_basis[2].full() + 0.7 * slice_basis[3].full()
-        + 1.1 * slice_basis[4].full())
-    trace = nm.bracket_descent(start, gamma=gamma, subspace=slice_basis)
-    fs = [row[2] for row in trace.samples]
-    assert all(y <= x + 1e-12 for x, y in zip(fs, fs[1:]))
-    assert trace.converged
-    assert fs[-1] == pytest.approx(7.0 / 160.0, abs=1e-9)
-    cert = nm.certify_minimal(trace.final_state, gamma=gamma,
-                              allow_scale=True)
-    assert cert.minimal
-
-
-def test_subspace_descent_stays_in_its_span():
-    # every slice-mode move is a combination within the span, so the limit
-    # stays in it up to rounding (measured 2e-16 relative)
-    slice_basis = _closed_slice()
-    span = np.array([t.coeffs.ravel() for t in slice_basis]).T
-    gamma = nm.standard_structure("symplectic", 6)
-    rng = np.random.default_rng(606)
-    starts = [[0.9, 0.4, 1.2, 0.7, 1.1]] + [rng.uniform(0.3, 1.5, 5) for _ in range(3)]
-    for coords in starts:
-        start = nm.SkewTensor(6, (span @ coords).reshape(15, 6))
-        trace = nm.bracket_descent(start, gamma=gamma, subspace=slice_basis)
-        x = trace.final_state.coeffs.ravel()
-        fit, *_ = np.linalg.lstsq(span, x, rcond=None)
-        assert trace.converged
-        assert np.linalg.norm(span @ fit - x) <= 1e-12 * np.linalg.norm(x)
-
-
 def test_converged_descent_limit_is_flow_fixed_point():
     # a certified minimal bracket is a fixed point of the normalized
     # metric flow: the metric stays put up to the derivation reparam

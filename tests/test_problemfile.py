@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nilmetric as nm
+from nilmetric import problemfile
 from nilmetric.problemfile import bracket_records, jsonable
 
 
@@ -55,6 +58,16 @@ def test_parse_defaults_tolerate_missing_bracket():
      "metric"),
     (lambda d: d.update(options={"tol": -1.0}), "must be positive"),
     (lambda d: d.update(options={"tol": "x"}), "must be a real number"),
+    # JSON integers beyond the float range, and finite entries whose
+    # symmetrization overflows
+    (lambda d: d["bracket"].append({"i": 1, "j": 2, "k": 3, "coeff": 10**400}),
+     "record 1: 'coeff' must be a real number"),
+    (lambda d: d.update(options={"tol": 10**400}),
+     "options.tol must be a real number"),
+    (lambda d: d.update(metric=[[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "metric: not a numeric matrix"),
+    (lambda d: d.update(metric=np.diag([1.7e308, 1.0, 1.0]).tolist()),
+     "metric: overflow"),
 ])
 def test_parse_errors_name_the_field(mutate, fragment):
     data = minimal_problem()
@@ -166,3 +179,82 @@ def test_jsonable_handles_numpy_scalars_and_nested():
 def test_jsonable_rejects_unknown_objects():
     with pytest.raises(TypeError, match="object"):
         jsonable({"a": [object()]})
+
+
+@pytest.mark.parametrize("tag", [[], {}, ["complex"], {"class": "complex"}, 1])
+def test_structure_class_must_be_a_string(tag):
+    data = minimal_problem()
+    data["structure"] = {"class": tag}
+    with pytest.raises(nm.ParseError, match="structure 'class' must be a string"):
+        nm.parse_problem(data)
+
+
+def test_structure_builder_bug_is_not_a_parse_error(monkeypatch):
+    # only NilmetricError from a builder is a bad payload; anything else is
+    # a fault of the program and must propagate
+    def broken(payload):
+        raise TypeError("builder bug")
+
+    monkeypatch.setitem(problemfile._STRUCTURE_BUILDERS, "complex", broken)
+    J = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    data = {"format": 1, "dim": 6, "bracket": [],
+            "structure": {"class": "complex", "payload": J.tolist()}}
+    with pytest.raises(TypeError, match="builder bug"):
+        nm.parse_problem(data)
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from([10**400, -10**400]) | st.text(max_size=6))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10)
+
+
+def _matrices(dim):
+    entry = st.floats() | st.integers(-3, 3)
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                    min_size=dim, max_size=dim)
+
+
+@st.composite
+def _problem_dicts(draw):
+    dim = draw(st.integers(1, 8))
+    index = st.integers(-1, 9) | _json_values
+    record = st.fixed_dictionaries(
+        {}, optional={"i": index, "j": index, "k": index,
+                      "coeff": st.floats() | _json_values})
+    payload = (st.just("standard") | _matrices(dim)
+               | st.lists(_matrices(dim), min_size=3, max_size=3)
+               | _json_values)
+    structure = st.fixed_dictionaries({}, optional={
+        "class": (st.sampled_from(["none", "symplectic", "complex",
+                                   "hypercomplex"]) | _json_values),
+        "payload": payload})
+    fields = {
+        "format": st.just(1) | _json_values,
+        "bracket": st.lists(record | _json_values, max_size=4) | _json_values,
+        "structure": structure | _json_values,
+        "metric": _matrices(dim) | _json_values,
+        "options": (st.fixed_dictionaries({}, optional={"tol": _json_values})
+                    | _json_values),
+    }
+    data = {"dim": dim}
+    for key, values in fields.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_problem_dicts())
+def test_parse_problem_is_total(data):
+    """Arbitrary JSON values in format, bracket, structure, metric and
+    options give a ProblemFile or a ParseError, never another exception.
+    dim stays within 1-8, so no case allocates a large array."""
+    try:
+        prob = nm.parse_problem(data)
+    except nm.ParseError:
+        return
+    assert isinstance(prob, problemfile.ProblemFile)
