@@ -293,13 +293,16 @@ class Metric:
         n = matrix.shape[0]
         if matrix.shape != (n, n):
             raise DimensionMismatch(f"metric shape {matrix.shape}")
-        if np.abs(matrix - matrix.T).max() > 1e-10 * (1 + np.abs(matrix).max()):
+        if not np.all(np.isfinite(matrix)):
+            raise NotPositiveDefinite("metric matrix has non-finite entries")
+        half = 0.5 * matrix  # halved before sums and differences: no overflow
+        if np.abs(half - half.T).max() > 5e-11 * (1 + np.abs(matrix).max()):
             raise NotPositiveDefinite("metric matrix is not symmetric")
+        self.matrix = half + half.T
         try:
-            L = np.linalg.cholesky(0.5 * (matrix + matrix.T))
+            L = np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite("Cholesky factorization failed") from exc
-        self.matrix = 0.5 * (matrix + matrix.T)
         self.transport = L.T  # h with G = h^T h
         self.transport_inv = np.linalg.inv(self.transport)
 

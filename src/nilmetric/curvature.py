@@ -94,6 +94,15 @@ def F_of_ricci(ric_gamma: np.ndarray, norm2: float) -> float:
     return float(np.trace(ric_gamma @ ric_gamma)) / norm2**2
 
 
+def soliton_split(ric_gamma: np.ndarray, norm2: float) -> tuple:
+    """(c, D) with Ric^gamma = c I + D, c = tr((Ric^gamma)^2) / scal (0
+    when scal = -|mu|^2 / 4 is 0): the certificate's split, whose D is the
+    normalized flow's velocity and delta_mu(D) the descent's direction."""
+    scal = -0.25 * norm2
+    c = 0.0 if scal == 0.0 else float(np.trace(ric_gamma @ ric_gamma)) / scal
+    return c, ric_gamma - c * np.eye(len(ric_gamma))
+
+
 def functional_F(mu, gamma: Structure = None, G: Metric = None,
                  allow_scale: bool = False) -> float:
     """Normalized squared size of the invariant Ricci operator,

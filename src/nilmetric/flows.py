@@ -2,24 +2,26 @@
 sphere-constrained gradient descent of the curvature functional on
 brackets, plus the self-similarity check for certified solitons.
 
-Both call the curvature kernel once per bracket they visit.  The metric
-flow is a bracket flow (Lauret, "The Ricci flow for simply connected
-nilmanifolds", Comm. Anal. Geom. 19, 2011): G = h^T h with h' = s/2 (R -
-(tr R^2 / scal) I) h, R the Ric^gamma of act(h, mu) at the identity.  The
-structure's frame payload stays fixed along it.
+Both call the curvature kernel once per bracket they visit and use the
+certificate's split Ric^gamma = c I + D (curvature.soliton_split).  The
+metric flow is a bracket flow (Lauret, "The Ricci flow for simply
+connected nilmanifolds", Comm. Anal. Geom. 19, 2011): G = h^T h with h' =
+s/2 R h, R the Ric^gamma of act(h, mu) at the identity; the normalized
+flow's velocity is D in place of R.  The frame payload stays fixed.
 
 The bracket descent runs in two phases.  Phase one follows the orbit
 retraction mu <- normalize(act(expm(-eta * Ric^gamma), mu)) with a
-backtracking line search on the functional; the velocity of that curve is
-minus the coboundary of Ric^gamma, whose tangential part is the (negative)
-gradient direction.  Near a critical point the retraction amplifies
-off-variety rounding (the exponential winds the stabilizer of the limit),
-so once the direction norm is small the iteration hands off to phase two:
-a damped Gauss-Newton solve for a structure-group element annihilating the
-direction vector, which stays on the orbit by construction and converges
-quadratically.  Phase one alone either stalls or escapes along the
-rounding error; the combination is stable down to direction norms at
-rounding level.
+backtracking line search on the functional.  By the moment map identity
+<delta_mu(A), mu> = 4 tr(Ric A), A symmetric, the radial part of
+delta_mu(Ric^gamma) is delta_mu(c I), so the descent direction is
+-delta_mu(D), the certificate's coboundary.  Near a critical point the
+retraction amplifies off-variety rounding (the exponential winds the
+stabilizer of the limit), so once the direction norm is small the
+iteration hands off to phase two: a damped Gauss-Newton solve for a
+structure-group element annihilating delta_mu(D), which stays on the
+orbit by construction and converges quadratically.  Phase one alone
+either stalls or escapes along the rounding error; the combination is
+stable down to direction norms at rounding level.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ from .algebra_core import (
     SkewTensor,
     act,
     as_tensor,
-    coboundary,
     combine,
     expm,
-    inner,
 )
-from .curvature import F_of_ricci, frame_curvature
+from .curvature import F_of_ricci, frame_curvature, soliton_split
 from .errors import (
     InvalidBracket,
     NilmetricError,
@@ -117,10 +117,16 @@ def _evaluate(tensor: SkewTensor, gamma: Structure, payload0) -> tuple:
     return tensor, ric_gamma, norm2
 
 
+def _certified(point: tuple) -> tuple:
+    """The evaluated bracket with its certificate residual and defect
+    delta_mu(D) appended: (tensor, Ric^gamma, |mu|^2, residual, defect)."""
+    _, _, residual, defect = frame_certificate(*point)
+    return point + (residual, defect)
+
+
 def _sample_row(point: tuple, t: float) -> tuple:
-    """Trace row (t, scal, F, certificate residual) of an evaluated bracket."""
-    tensor, ric_gamma, norm2 = point
-    _, _, residual = frame_certificate(tensor, ric_gamma, norm2)
+    """Trace row (t, scal, F, certificate residual) of a certified bracket."""
+    _, ric_gamma, norm2, residual, _ = point
     return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma, norm2), residual)
 
 
@@ -132,11 +138,7 @@ def _flow_field(tensor: SkewTensor, gamma: Structure, h: np.ndarray,
     if mu_h is None:
         mu_h = act(h, tensor)
     _, ric_gamma, norm2 = frame_curvature(mu_h, gamma, payload0)
-    A = ric_gamma
-    if renorm:
-        scal = -0.25 * norm2
-        if abs(scal) > 1e-13:
-            A = A - (float(np.trace(A @ A)) / scal) * np.eye(len(h))
+    A = soliton_split(ric_gamma, norm2)[1] if renorm else ric_gamma
     return (0.5 * sign) * (A @ h)
 
 
@@ -190,7 +192,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     dt = min_step = cfg.step
     trace = FlowTrace()
     mu_h = act(h, tensor)  # the bracket in the frame h, reused by k1
-    point = _evaluate(mu_h, gamma, payload0)
+    point = _certified(_evaluate(mu_h, gamma, payload0))
     trace.samples.append(_sample_row(point, t))
     trace.states.append(h.T @ h)
     scal = -0.25 * point[2]
@@ -245,7 +247,8 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
             dt, streak = min(2.0 * dt, cfg.step), 0
         at_end = t >= cfg.horizon - 1e-15
         if accepted % cfg.sample_every == 0 or at_end:
-            trace.samples.append(_sample_row(_evaluate(mu_h, gamma, payload0), t))
+            point = _certified(_evaluate(mu_h, gamma, payload0))
+            trace.samples.append(_sample_row(point, t))
             trace.states.append(h.T @ h)
     trace.final_state = Metric(h.T @ h)
     trace.stop_reason = "horizon" if t >= cfg.horizon - 1e-15 else "step_cap"
@@ -256,22 +259,15 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     return trace
 
 
-def _direction(point: tuple) -> SkewTensor:
-    """Minus the tangential part of the coboundary of Ric^gamma."""
-    tensor, ric_gamma, _ = point
-    delta = coboundary(tensor, ric_gamma)
-    radial = inner(delta, tensor) / tensor.norm2()
-    return delta.plus(tensor, -radial).scaled(-1.0)
-
-
 def descent_direction(tensor: SkewTensor, gamma: Structure) -> SkewTensor:
     """Negative gradient direction of the functional on the unit sphere:
-    minus the tangential part of the coboundary of Ric^gamma.
+    -delta_mu(D) with Ric^gamma = c I + D, the tangential part of
+    -delta_mu(Ric^gamma).
 
     The finite-difference identity dF(d / |d|) = -|d| holds at unit norm.
     """
     payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
-    return _direction(_evaluate(tensor, gamma, payload0))
+    return _certified(_evaluate(tensor, gamma, payload0))[4].scaled(-1.0)
 
 
 def _descent_sample(point: tuple, k: int) -> tuple:
@@ -287,11 +283,6 @@ def _move(T: SkewTensor, gen: np.ndarray, eta: float, gamma: Structure,
     return _evaluate(_unit(act(expm(eta * gen), T)), gamma, payload0)
 
 
-def _dvec(point: tuple) -> np.ndarray:
-    """The direction's coefficient vector, which _polish drives to zero."""
-    return _direction(point).coeffs.ravel()
-
-
 def bracket_descent(mu, gamma: Structure = None,
                     cfg: FlowConfig = None) -> FlowTrace:
     """Minimize the curvature functional over the unit sphere of brackets.
@@ -301,7 +292,9 @@ def bracket_descent(mu, gamma: Structure = None,
     structure algebra at the identity, preserving the Jacobi identity and
     the integrability constraint to rounding; at a converged fixed point
     the minimality certificate passes.  Phase one's generator is
-    -Ric^gamma; the Gauss-Newton phase (_polish) solves for xi.
+    -Ric^gamma; the Gauss-Newton phase (_polish) solves for xi.  One
+    coboundary delta_mu(D) per accepted bracket gives its direction, its
+    stop tests and its trace row.
 
     The trace samples are (iteration, scal, F, certificate residual).  The
     no_descent flag reports a run that did not converge (not fatal), and
@@ -326,14 +319,14 @@ def bracket_descent(mu, gamma: Structure = None,
 
     trace = FlowTrace()
     k = 0
-    point = _evaluate(tensor, gamma, payload0)
+    point = _certified(_evaluate(tensor, gamma, payload0))
     trace.samples.append(_descent_sample(point, k))
     f_cur = trace.samples[-1][2]
     best = (np.inf, point)
     polish_from = None
     stop = None  # set when phase one ends the run
     for _ in range(cfg.max_iter):
-        nd = _direction(point).norm()
+        nd = point[4].norm()
         if nd < best[0]:
             best = (nd, point)
         if nd <= cfg.tol_converge:
@@ -357,7 +350,7 @@ def bracket_descent(mu, gamma: Structure = None,
         if accepted is None:
             stop = "line_search"
             break
-        point, f_cur = accepted
+        point, f_cur = _certified(accepted[0]), accepted[1]
         k += 1
         trace.samples.append(_descent_sample(point, k))
     else:
@@ -369,8 +362,7 @@ def bracket_descent(mu, gamma: Structure = None,
         point, f_cur, k, reason = _polish(polish_from, basis, gamma, payload0,
                                           cfg, trace, k, f_cur)
     if stop is None:
-        converged = _direction(point).norm() <= cfg.tol_converge
-        stop = "converged" if converged else reason
+        stop = "converged" if point[4].norm() <= cfg.tol_converge else reason
     trace.final_state = point[0]
     trace.stop_reason = stop
     trace.converged = stop == "converged"
@@ -380,28 +372,27 @@ def bracket_descent(mu, gamma: Structure = None,
 
 def _polish(point: tuple, basis: list, gamma: Structure, payload0,
             cfg: FlowConfig, trace: FlowTrace, k: int, f_cur: float):
-    """Damped Gauss-Newton on the direction vector _dvec(point), solving
-    for coordinates xi in the basis of the symmetric structure algebra; a
-    trial is _move(T, combine(xi, basis), alpha).
+    """Damped Gauss-Newton on the coefficient vector of the certified
+    point's defect delta_mu(D), solving for coordinates xi in the basis of
+    the symmetric structure algebra; a trial is _move(T, combine(xi,
+    basis), alpha).
 
     Steps are accepted when the direction norm drops and the functional
     does not increase beyond rounding.  Returns the last point, F,
     iteration count and the reason the iteration stopped.
     """
-    root2 = np.sqrt(2.0)  # the coefficient norm counts pairs once
-    dvec = _dvec(point)
-    nd = float(np.linalg.norm(dvec)) * root2
     stalls = 0
     reason = "iteration_cap"
     for _ in range(MAX_POLISH_ITERS):
+        tensor, nd = point[0], point[4].norm()
         if nd <= cfg.tol_converge:
             reason = "converged"
             break
-        tensor = point[0]
+        dvec = point[4].coeffs.ravel()
         J = np.empty((dvec.size, len(basis)))
         for i, B in enumerate(basis):
-            moved = _move(tensor, FD_EPS * B, 1.0, gamma, payload0)
-            J[:, i] = (_dvec(moved) - dvec) / FD_EPS
+            moved = _certified(_move(tensor, FD_EPS * B, 1.0, gamma, payload0))
+            J[:, i] = (moved[4].coeffs.ravel() - dvec) / FD_EPS
         # Truncated-SVD solve: the finite-difference Jacobian carries noise
         # of order eps_mach / FD_EPS, and the map has an exact nullspace
         # (the stabilizer), so small singular values must be discarded or
@@ -418,21 +409,18 @@ def _polish(point: tuple, basis: list, gamma: Structure, payload0,
         alpha = 1.0
         accepted = None
         while alpha > 2.0**-25:
-            cand = _move(tensor, gen, alpha, gamma, payload0)
-            dvec_new = _dvec(cand)
-            nd_new = float(np.linalg.norm(dvec_new)) * root2
+            cand = _certified(_move(tensor, gen, alpha, gamma, payload0))
             f_new = F_of_ricci(cand[1], cand[2])
-            if nd_new < nd and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur)):
-                accepted = (cand, dvec_new, nd_new, f_new)
+            if (cand[4].norm() < nd
+                    and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur))):
+                accepted = cand
                 break
             alpha *= 0.5
         if accepted is None:
             reason = "line_search"
             break
-        stalls = stalls + 1 if accepted[2] > 0.99 * nd else 0
-        point, dvec, nd, f_new = accepted
-        if f_new <= f_cur:
-            f_cur = f_new
+        stalls = stalls + 1 if accepted[4].norm() > 0.99 * nd else 0
+        point, f_cur = accepted, min(f_cur, f_new)
         k += 1
         trace.samples.append(_descent_sample(point, k))
         if stalls >= 3:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra_core import (Bracket, Metric, SkewTensor, _center_split,
                            _from_frame, _require_two_step, coboundary)
-from .curvature import _frame_data, curvature_report
+from .curvature import _frame_data, curvature_report, soliton_split
 from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import (
     DimensionMismatch,
@@ -56,13 +56,12 @@ class Certificate:
         return self.verdict == MINIMAL
 
 
-def _residual(mu0: SkewTensor, D0: np.ndarray) -> float:
-    """Relative coboundary residual |delta(D0)| / ((1 + |D0|) |mu0|) of a
-    bracket in an orthonormal frame; 0 for the zero bracket."""
+def _residual(mu0: SkewTensor, D0: np.ndarray, defect: SkewTensor) -> float:
+    """Relative residual |defect| / ((1 + |D0|) |mu0|) of the coboundary
+    defect = delta_mu0(D0) in an orthonormal frame; 0 when mu0 = 0."""
     norm = mu0.norm()
     if norm == 0.0:
         return 0.0
-    defect = coboundary(mu0, D0)
     return float(defect.norm() / ((1.0 + float(np.linalg.norm(D0))) * norm))
 
 
@@ -77,15 +76,11 @@ def _certificate(c: float, D0: np.ndarray, residual: float, G: Metric,
 
 def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
                       norm2: float) -> tuple:
-    """(c, D0, residual) of the certificate for a bracket mu0 in an
+    """(c, D0, residual, delta_mu0(D0)) of the certificate for mu0 in an
     orthonormal frame, from its Ric^gamma and |mu|^2 (frame_curvature)."""
-    scal = -0.25 * norm2
-    if scal == 0.0:
-        c = 0.0
-    else:
-        c = float(np.trace(ric_gamma0 @ ric_gamma0)) / scal
-    D0 = ric_gamma0 - c * np.eye(mu0.dim)
-    return c, D0, _residual(mu0, D0)
+    c, D0 = soliton_split(ric_gamma0, norm2)
+    defect = coboundary(mu0, D0)
+    return c, D0, _residual(mu0, D0, defect), defect
 
 
 def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
@@ -102,7 +97,8 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     if tol is None:  # read first: a bad NILMETRIC_TOL is reported first
         tol = certification_tolerance()
     mu0, _, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
-    return _certificate(*frame_certificate(mu0, ric_gamma0, norm2), G, tol)
+    c, D0, residual, _ = frame_certificate(mu0, ric_gamma0, norm2)
+    return _certificate(c, D0, residual, G, tol)
 
 
 def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
@@ -143,7 +139,8 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
             f"invariant Ricci blocks are not scalar (deviation {off:.3e})"
         )
     D0 = (q - p) * (Q1 @ Q1.T) + 2.0 * (q - p) * (Q2 @ Q2.T)
-    return _certificate(2.0 * p - q, D0, _residual(mu0, D0), G, tol)
+    residual = _residual(mu0, D0, coboundary(mu0, D0))
+    return _certificate(2.0 * p - q, D0, residual, G, tol)
 
 
 @dataclass(frozen=True)

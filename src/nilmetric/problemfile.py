@@ -131,6 +131,8 @@ def parse_problem(data: dict, source: str = "problem") -> ProblemFile:
 
     if "metric" in data and data["metric"] is not None:
         M = _as_matrix(data["metric"], dim, f"{source}: metric")
+        _require(bool(np.abs(M).max() <= 0.5 * np.finfo(float).max),
+                 f"{source}: metric: overflow in G + G^T")
         try:
             with np.errstate(over="raise", invalid="raise"):
                 metric = Metric(M)

@@ -78,6 +78,17 @@ def count_kernel_calls(monkeypatch, module: str) -> list:
     return calls
 
 
+def reference_direction(tensor, gamma):
+    """Reference for descent_direction: minus the tangential part of
+    delta_mu(Ric^gamma), with the radial part taken out through the inner
+    product instead of the split Ric^gamma = c I + D."""
+    ric_gamma = nm.invariant_ricci(tensor, nm.Metric.identity(tensor.dim),
+                                   gamma, allow_scale=True)
+    delta = nm.coboundary(tensor, ric_gamma)
+    radial = nm.inner(delta, tensor) / tensor.norm2()
+    return delta.plus(tensor, -radial).scaled(-1.0)
+
+
 def perturbed_m26(sp6_basis, rng, scale=0.3):
     """Move the critical symplectic point along a random group direction."""
     coeffs = rng.standard_normal(len(sp6_basis))

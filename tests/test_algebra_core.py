@@ -259,6 +259,31 @@ def test_metric_validation():
     assert np.abs(h.T @ h - G.matrix).max() < TOL
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_metric_rejects_non_finite(bad):
+    with pytest.raises(nm.NotPositiveDefinite, match="non-finite"):
+        nm.Metric(np.diag([bad, 1.0, 1.0]))
+
+
+def test_metric_near_float_max_stays_finite():
+    # the checks halve before they add or subtract; the suite's warning
+    # filter turns an overflow warning into a failure
+    G = nm.Metric(np.diag([1.7e308, 1.0, 1.0]))
+    assert G.matrix[0, 0] == 1.7e308
+    assert np.all(np.isfinite(G.matrix)) and np.all(np.isfinite(G.transport))
+    skew = np.array([[1.0, 1e308, 0.0], [-1e308, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(nm.NotPositiveDefinite, match="not symmetric"):
+        nm.Metric(skew)
+
+
+def test_metric_symmetrization_is_unchanged():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        A = rng.standard_normal((5, 5))
+        M = np.eye(5) * 6.0 + 0.5 * (A + A.T) + 1e-12 * A
+        assert np.array_equal(nm.Metric(M).matrix, 0.5 * (M + M.T))
+
+
 def test_sym_skew_bases_orthonormal():
     for n in (3, 5):
         for basis in (sym_basis(n), skew_basis(n)):

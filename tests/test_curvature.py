@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
 import nilmetric as nm
@@ -96,6 +98,52 @@ def test_ricci_is_g_self_adjoint():
     G = nm.Metric(np.eye(6) + 0.1 * (A + A.T) + np.eye(6))
     R = nm.ricci_operator(t, G)
     assert np.abs(G.matrix @ R - R.T @ G.matrix).max() < 1e-10
+
+
+# entries bounded away from underflow: |mu|^2 |A| stays a normal float
+_entries = st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6) | st.just(0.0)
+
+
+@st.composite
+def tensor_and_symmetric(draw):
+    """Any skew tensor of dim 2..8 (Jacobi not required) and any symmetric
+    map of the same dim."""
+    n = draw(st.integers(2, 8))
+    pairs = n * (n - 1) // 2
+    mu = draw(st.lists(_entries, min_size=pairs * n, max_size=pairs * n))
+    B = np.reshape(draw(st.lists(_entries, min_size=n * n, max_size=n * n)),
+                   (n, n))
+    return nm.SkewTensor(n, np.reshape(mu, (pairs, n))), 0.5 * (B + B.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_and_symmetric())
+def test_moment_map_identity(case):
+    # <delta_mu(A), mu> = 4 tr(Ric_mu A) on all of V: the radial part of the
+    # coboundary of Ric^gamma is the -c mu of the split Ric^gamma = c I + D
+    mu, A = case
+    lhs = nm.inner(nm.coboundary(mu, A), mu)
+    rhs = 4.0 * float(np.trace(nm.ricci_operator(mu) @ A))
+    assert abs(lhs - rhs) <= 1e-12 * mu.norm2() * np.linalg.norm(A)
+
+
+def test_soliton_split_is_tangential_and_certified():
+    # delta_mu(D) is orthogonal to mu, and at a minimal bracket the split
+    # is the certificate's (c, D)
+    p = nm.m26_point(1.0, 0.0)
+    payload0 = nm.structures._transported_payload(p.structure,
+                                                  nm.Metric.identity(6))
+    g = np.eye(6) + 0.2 * np.random.default_rng(5).standard_normal((6, 6))
+    for mu in (nm.act(g, p.tensor), p.tensor):
+        _, ric_gamma, norm2 = nm.curvature.frame_curvature(mu, p.structure,
+                                                           payload0)
+        c, D = nm.curvature.soliton_split(ric_gamma, norm2)
+        assert np.array_equal(D, ric_gamma - c * np.eye(6))
+        assert abs(nm.inner(nm.coboundary(mu, D), mu)) <= 1e-13 * norm2 * (
+            1.0 + np.linalg.norm(D))
+    cert = nm.certify_minimal(p.tensor, gamma=p.structure)
+    assert cert.c == c and np.array_equal(cert.D, D)
+    assert nm.curvature.soliton_split(np.zeros((3, 3)), 0.0)[0] == 0.0
 
 
 def test_scalar_negative_for_nonabelian(bracket_corpus):

@@ -1,12 +1,15 @@
 """Metric flows, bracket descent and soliton self-similarity."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import nilmetric as nm
 
-from conftest import coarse_flow_start, count_kernel_calls, perturbed_m26
+from conftest import (coarse_flow_start, count_kernel_calls, perturbed_m26,
+                      reference_direction)
 
 
 def test_zero_bracket_flow_is_stationary():
@@ -172,6 +175,50 @@ def test_descent_direction_is_sphere_gradient(sp6_basis):
         assert abs(fd + nd) <= 1e-5 * nd
         checked += 1
     assert checked >= 4
+
+
+@pytest.mark.parametrize("name", ["m26", "iwasawa-curve", "hc-g3",
+                                  "heisenberg"])
+def test_descent_direction_is_minus_coboundary_of_D(name):
+    # -delta_mu(D) equals the tangential part of -delta_mu(Ric^gamma); the
+    # direction is cubic in mu, so on unit tensors the error is absolute
+    # (hc-g3 and heisenberg stay critical along their orbits)
+    p = nm.catalog_get(name)
+    n = p.tensor.dim
+    basis = nm.structure_group_basis(p.structure, nm.Metric.identity(n))
+    rng = np.random.default_rng(91)
+    for _ in range(5):
+        xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+        T = nm.act(expm(0.3 * xi / np.linalg.norm(xi)), p.tensor)
+        T = T.scaled(1.0 / T.norm())
+        got = nm.descent_direction(T, p.structure)
+        want = reference_direction(T, p.structure)
+        assert got.plus(want, -1.0).norm() <= 1e-12
+
+
+def test_descent_computes_one_defect_per_bracket(sp6_basis, monkeypatch):
+    # the certificate's coboundary delta_mu(D) of a bracket gives its
+    # direction, its stop-test norm, its Gauss-Newton residual and its trace
+    # row: no bracket has it computed twice
+    calls = []
+
+    def counted(mu, A):
+        calls.append(mu.coeffs.tobytes())
+        return nm.coboundary(mu, A)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("nilmetric.")
+                and getattr(module, "coboundary", None) is nm.coboundary):
+            monkeypatch.setattr(module, "coboundary", counted)
+    gamma = nm.m26_point(1.0, 0.0).structure
+    start = perturbed_m26(sp6_basis, np.random.default_rng(501), scale=0.3)
+    trace = nm.bracket_descent(start, gamma=gamma)
+    monkeypatch.undo()
+    assert trace.converged
+    assert len(calls) > len(trace.samples)
+    assert len(calls) == len(set(calls))
+    cert = nm.certify_minimal(trace.final_state, gamma=gamma)
+    assert trace.samples[-1][3] == cert.residual
 
 
 def test_converged_descent_limit_is_flow_fixed_point():
