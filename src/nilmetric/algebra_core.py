@@ -366,13 +366,14 @@ def coboundary(mu: SkewTensor, A: np.ndarray) -> SkewTensor:
     n = mu.dim
     if A.shape != (n, n):
         raise DimensionMismatch(f"map shape {A.shape} vs dim {n}")
-    T = mu.full()
-    out = (
-        np.einsum("kl,ijl->ijk", A, T)
-        - np.einsum("li,ljk->ijk", A, T)
-        - np.einsum("lj,ilk->ijk", A, T)
-    )
-    return SkewTensor.from_full(out)
+    # on the stored pair rows only, so the result is antisymmetric by
+    # construction: with S[i,j,k] = A[l,i] mu[l,j,k], mu(., A.) at (i, j) is
+    # -S[j,i]; summing the full array instead rounds the (i, j) and (j, i)
+    # slots differently, which fails from_full's check once the three terms
+    # cancel to far below |A| |mu|
+    iu, ju = pair_index(n)
+    S = (A.T @ mu.full().reshape(n, n * n)).reshape(n, n, n)
+    return SkewTensor(n, mu.coeffs @ A.T - S[iu, ju] + S[ju, iu])
 
 
 def coboundary_matrix(mu: SkewTensor) -> np.ndarray:
