@@ -348,15 +348,13 @@ def act(g: np.ndarray, mu: SkewTensor) -> SkewTensor:
     # (g.mu)[a,b,m] = ginv[i,a] ginv[j,b] mu[i,j,k] g[m,k], held as T[m,a,b]:
     # the output slot on the stored pair rows, C[m,p] = g_m . mu_p, scattered
     # into one antisymmetric n x n matrix per m, then one batched congruence
-    # (the i sum first); the check is SkewTensor.from_full's
+    # (the i sum first), read out on the stored pair rows only
     iu, ju = pair_index(n)
     C = (mu.coeffs @ g.T).T
     T = np.zeros((n, n, n))
     T[:, iu, ju] = C
     T[:, ju, iu] = -C
     T = ginv.T @ T @ ginv
-    if np.abs(T + T.transpose(0, 2, 1)).max() > 1e-12 * (1 + np.abs(T).max()):
-        raise ValueError("array is not antisymmetric in its first two slots")
     return SkewTensor(n, T[:, iu, ju].T.copy())
 
 

@@ -27,7 +27,7 @@ from .structures import (
 
 def frame_curvature(mu0: SkewTensor, gamma: Structure, payload0) -> tuple:
     """(Ric, Ric^gamma, |mu|^2) of a bracket in an orthonormal frame, with
-    payload0 the structure's payload in that frame (_transported_payload).
+    payload0 the structure's maps in that frame (_transported_payload).
 
     Both operators are symmetric; Ric^gamma is the orthogonal projection of
     Ric onto the symmetric structure algebra, Ric itself for NoStructure.

@@ -28,6 +28,7 @@ from .errors import (
     WrongTag,
 )
 from .structures import (
+    SYMPLECTIC,
     Structure,
     integrability_accepted,
     integrability_residual,
@@ -160,7 +161,7 @@ def hermitian_obstruction(mu, G: Metric = None,
     is not closed for the bracket.
     """
     tensor, G, _ = with_defaults(mu, G)
-    if gamma is None or gamma.tag != "symplectic":
+    if gamma is None or gamma.tag != SYMPLECTIC:
         raise WrongTag("the obstruction is specific to symplectic structures")
     if tensor.norm2() == 0.0:
         return ObstructionReport(status=ABELIAN, obstruction_norm=0.0)

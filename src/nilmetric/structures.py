@@ -11,6 +11,11 @@ A Structure is a tagged payload:
 - ``complex``: a map J with J^2 = -I.
 - ``hypercomplex``: three maps (J1, J2, J3) obeying the quaternion
   identities J1 J2 = J3 = -J2 J1, Ji^2 = -I.
+
+In a G-orthonormal frame every class is one tuple of maps J_k with
+J_k^2 = -I (_transported_payload), and the projection onto the symmetric
+structure algebra is (S + s sum_k J_k S J_k) / (1 + k): s = +1 for the
+normalized symplectic map, s = -1 for complex maps.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .algebra_core import (
     skew_basis,
     triple_index,
 )
-from .defaults import TOL_COMPAT
+from .defaults import TOL_COMPAT, TOL_NULL
 from .errors import (
     DimensionMismatch,
     DimensionParity,
@@ -86,7 +91,8 @@ def symplectic_structure(omega: np.ndarray) -> Structure:
         raise DimensionParity("symplectic structures need even dimension")
     if np.abs(omega + omega.T).max() > 1e-12 * (1 + np.abs(omega).max()):
         raise InvalidStructure("symplectic form must be antisymmetric")
-    if abs(np.linalg.det(omega)) < 1e-12:
+    s = np.linalg.svd(omega, compute_uv=False)
+    if s[-1] <= TOL_NULL * s[0]:
         raise InvalidStructure("symplectic form must be nondegenerate")
     return Structure(SYMPLECTIC, n, omega)
 
@@ -130,18 +136,11 @@ def compatibility_residual(gamma: Structure, G: Metric) -> float:
     """Deviation of G from the compatible cone of the structure; 0 iff inside."""
     if gamma.dim != G.dim:
         raise DimensionMismatch(f"structure dim {gamma.dim} vs metric dim {G.dim}")
-    n = gamma.dim
-    if gamma.tag == NO_STRUCTURE:
-        return 0.0
     if gamma.tag == SYMPLECTIC:
         JG = metric_jmap(gamma, G)
-        return float(np.linalg.norm(JG @ JG + np.eye(n)))
-    if gamma.tag == COMPLEX:
-        J = gamma.payload
-        return float(np.linalg.norm(J.T @ G.matrix @ J - G.matrix))
-    return max(
-        float(np.linalg.norm(J.T @ G.matrix @ J - G.matrix)) for J in gamma.maps()
-    )
+        return float(np.linalg.norm(JG @ JG + np.eye(gamma.dim)))
+    return max((float(np.linalg.norm(J.T @ G.matrix @ J - G.matrix))
+                for J in gamma.maps()), default=0.0)
 
 
 def _closedness_rows(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -210,10 +209,11 @@ def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
 
 
 def _transported_payload(gamma: Structure, G: Metric,
-                         allow_scale: bool = False):
-    """Structure payload in the G-orthonormal frame: h J h^-1 per complex
-    map; for a symplectic form h J_G h^-1 = h^-T omega h^-1 divided by
-    sqrt(kappa), kappa = -tr(J^2) / n.
+                         allow_scale: bool = False) -> tuple:
+    """The structure's maps in the G-orthonormal frame: () for none,
+    h J h^-1 per complex map, and for a symplectic form the one map
+    h J_G h^-1 = h^-T omega h^-1 divided by sqrt(kappa),
+    kappa = -tr(J^2) / n.
 
     Raises IncompatibleMetric unless G is compatible: a symplectic G must
     lie in the conformal cone (J^2 = -kappa I to 1e-8 kappa, kappa > 0)
@@ -233,28 +233,19 @@ def _transported_payload(gamma: Structure, G: Metric,
             raise IncompatibleMetric(
                 f"metric compatible only up to scale (kappa = {kappa:.6g})"
             )
-        return J / np.sqrt(kappa)
+        return (J / np.sqrt(kappa),)
     if compatibility_residual(gamma, G) > TOL_COMPAT:
         raise IncompatibleMetric("metric is not compatible with the structure")
-    if gamma.tag == COMPLEX:
-        return h @ gamma.payload @ hinv
-    if gamma.tag == HYPERCOMPLEX:
-        return tuple(h @ J @ hinv for J in gamma.maps())
-    return None
+    return tuple(h @ J @ hinv for J in gamma.maps())
 
 
 def _frame_constraint_rows(gamma: Structure, payload0, B: np.ndarray) -> np.ndarray:
     """Constraint vector whose vanishing says B belongs to the structure
-    algebra, in the orthonormal frame."""
-    if gamma.tag == NO_STRUCTURE:
-        return np.zeros(0)
-    if gamma.tag == SYMPLECTIC:
-        omega0 = payload0
-        return (B.T @ omega0 + omega0 @ B).ravel()
-    if gamma.tag == COMPLEX:
-        J0 = payload0
-        return (B @ J0 - J0 @ B).ravel()
-    return np.concatenate([(B @ J0 - J0 @ B).ravel() for J0 in payload0])
+    algebra in the orthonormal frame: B^T J + J B = 0 for the symplectic
+    map, B J - J B = 0 for each complex map."""
+    symplectic = gamma.tag == SYMPLECTIC
+    return np.array([B.T @ J0 + J0 @ B if symplectic else B @ J0 - J0 @ B
+                     for J0 in payload0]).ravel()
 
 
 @dataclass(frozen=True)
@@ -294,19 +285,14 @@ def structure_group_basis(gamma: Structure, G: Metric) -> list:
 
 def _frame_projection(gamma: Structure, payload0, S0: np.ndarray) -> np.ndarray:
     """Closed-form orthogonal projection onto the symmetric structure
-    algebra, in the orthonormal frame (symplectic payload: normalized J)."""
-    if gamma.tag == NO_STRUCTURE:
-        return S0
-    if gamma.tag == SYMPLECTIC:
-        J0 = payload0
-        return 0.5 * (S0 + J0 @ S0 @ J0)
-    if gamma.tag == COMPLEX:
-        J0 = payload0
-        return 0.5 * (S0 - J0 @ S0 @ J0)
-    out = S0.copy()
+    algebra in the orthonormal frame, (S + s sum_k J_k S J_k) / (1 + k)
+    with s = +1 for the symplectic map and -1 for complex maps."""
+    symplectic = gamma.tag == SYMPLECTIC
+    out = S0
     for J0 in payload0:
-        out = out - J0 @ S0 @ J0
-    return 0.25 * out
+        A = J0 @ S0 @ J0
+        out = out + A if symplectic else out - A
+    return out / (1 + len(payload0))
 
 
 def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,

@@ -195,6 +195,39 @@ def test_act_composition(n, seed):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _conditioned(rng, n, log10_cond):
+    """Q1 diag(s) Q2 with log10(s) uniform in +-log10_cond / 2."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    half = 0.5 * log10_cond
+    return (q1 * 10.0 ** rng.uniform(-half, half, n)) @ q2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_act_composition_ill_conditioned(n, seed):
+    # cond(g) up to 1e6: the error grows like eps cond(g), and no check
+    # inside act may reject the result on the way
+    rng = np.random.default_rng(seed)
+    t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+    g = _conditioned(rng, n, 6.0)
+    h = _well_conditioned(rng, n)
+    want = nm.act(g @ h, t).coeffs
+    got = nm.act(g, nm.act(h, t)).coeffs
+    bound = 1e-14 * np.linalg.cond(g) * np.abs(want).max()
+    assert np.abs(got - want).max() <= bound
+
+
+def test_act_unimodular_shear_fixes_heisenberg():
+    # g has det 1 on span(e1, e2) and fixes e3, so g.mu = mu exactly;
+    # cond(g) is about 1e8, below COND_WARN
+    g = np.array([[1.0, 100.0, 0.0], [100.0, 10001.0, 0.0], [0.0, 0.0, 1.0]])
+    t = nm.heisenberg().tensor
+    got = nm.act(g, t)
+    bound = np.finfo(float).eps * np.linalg.cond(g) * t.norm()
+    assert np.abs(got.coeffs - t.coeffs).max() <= bound
+
+
 def test_act_rejects_singular_map():
     t = nm.heisenberg().tensor
     with pytest.raises(nm.SingularMap):

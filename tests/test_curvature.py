@@ -206,3 +206,22 @@ def test_frame_kernel_matches_entry_points():
     assert np.abs(h @ ric_gamma @ hinv - ric_gamma0).max() < 1e-12
     assert -0.25 * norm2 == pytest.approx(nm.scalar_curvature(p.tensor, G),
                                           rel=1e-14)
+
+
+@pytest.mark.parametrize("name, length", [
+    ("heisenberg", 0), ("m26", 1), ("iwasawa-curve", 1), ("hc-g3", 3)])
+def test_frame_payload_is_a_tuple_of_maps(name, length):
+    # every class reaches the kernel as a tuple of maps with J^2 = -I
+    p = nm.catalog_get(name)
+    n = p.tensor.dim
+    I = nm.Metric.identity(n)
+    payload0 = nm.structures._transported_payload(p.structure, I)
+    assert isinstance(payload0, tuple) and len(payload0) == length
+    for J0 in payload0:
+        assert np.abs(J0 @ J0 + np.eye(n)).max() < TOL
+    ric, ric_gamma, norm2 = nm.curvature.frame_curvature(p.tensor, p.structure,
+                                                         payload0)
+    assert np.array_equal(ric, nm.ricci_operator(p.tensor))
+    assert np.array_equal(ric_gamma,
+                          nm.invariant_ricci(p.tensor, I, p.structure))
+    assert norm2 == p.tensor.norm2()

@@ -105,6 +105,18 @@ def test_parse_rejects_invalid_structure_payload():
         nm.parse_problem(data)
 
 
+def test_parse_accepts_scaled_symplectic_payload():
+    # a nondegenerate form far from unit scale is a valid payload, with no
+    # overflow in the builder's checks
+    std = nm.standard_structure("symplectic", 4).payload
+    for scale in (1e-3, 1e300):
+        data = {"format": 1, "dim": 4, "bracket": [],
+                "structure": {"class": "symplectic",
+                              "payload": (scale * std).tolist()}}
+        prob = nm.parse_problem(data)
+        assert np.array_equal(prob.structure.payload, scale * std)
+
+
 def test_load_problem_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 3,\n  "bracket": [}')

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nilmetric as nm
+from nilmetric.algebra_core import expm
 from nilmetric.structures import (
     abelian_residual,
     integrability_defect,
@@ -50,6 +51,20 @@ def test_structure_constructor_validation():
     degenerate = np.zeros((4, 4))
     with pytest.raises(nm.InvalidStructure):
         nm.symplectic_structure(degenerate)
+
+
+def test_symplectic_nondegeneracy_is_relative():
+    # rank is judged by s_min <= TOL_NULL s_max, so the overall scale of
+    # the form does not matter but its condition number does
+    std = nm.standard_structure("symplectic", 4).payload
+    for scale in (1e-3, 1e300):
+        gamma = nm.symplectic_structure(scale * std)
+        assert np.array_equal(gamma.payload, scale * std)
+    near_singular = np.zeros((4, 4))  # blocks 1e7 and 1e-8: det 1e-2, cond 1e15
+    near_singular[:2, :2] = 1e7 * std[:2, :2]
+    near_singular[2:, 2:] = 1e-8 * std[2:, 2:]
+    with pytest.raises(nm.InvalidStructure, match="nondegenerate"):
+        nm.symplectic_structure(near_singular)
 
 
 def test_metric_jmap_and_compatibility_at_identity():
@@ -184,17 +199,42 @@ def test_complex_projection_commutes_with_j():
 
 
 def test_projection_under_transported_metric():
-    # conjugating the metric by a structure-group element commutes with
-    # the projection: P_{g.G}(S) = g^-T P_G(g^T S g^-T) g^T up to frames;
-    # checked indirectly through idempotency and symmetry in the G-frame
+    # G0 = phi^T phi with phi = exp(xi), xi symmetric in the structure
+    # algebra, so phi is in the structure group and Q = h0 phi^-1 is
+    # orthogonal.  Q carries the identity-metric constraint-nullspace basis
+    # into the G0-frame, where the reflection formula must expand against
+    # it; a symplectic metric kappa G0 has the structure algebra of G0.
+    # The standard structure is rotated first: for its block layout the
+    # Cholesky factor of G0 is itself in the structure group, so the frame
+    # maps would equal the original ones.
     rng = np.random.default_rng(41)
-    gamma = nm.standard_structure("complex", 6)
-    G = nm.Metric(np.eye(6) + 0.2 * np.diag([1, 2, 1, 2, 1, 2.0]))
-    if nm.compatibility_residual(gamma, G) < 1e-8:
-        A = rng.standard_normal((6, 6))
-        S = 0.5 * (A + A.T)
-        P = invariant_projection(gamma, G, S)
-        assert np.abs(invariant_projection(gamma, G, P) - P).max() < 1e-10
+    for kind, n, kappa in (("symplectic", 6, 1.0), ("symplectic", 6, 2.5),
+                           ("complex", 6, 1.0), ("hypercomplex", 8, 1.0)):
+        O, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        std = nm.standard_structure(kind, n)
+        gamma = getattr(nm, f"{kind}_structure")(
+            *(O @ J @ O.T for J in std.maps() or (std.payload,)))
+        basis = structure_algebra(gamma, nm.Metric.identity(n)).sym_basis
+        xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+        phi = expm(0.3 * xi / np.linalg.norm(xi))
+        G0 = nm.Metric(phi.T @ phi)
+        assert nm.compatibility_residual(gamma, G0) < 1e-10
+        assert np.abs(G0.matrix - np.eye(n)).max() > 0.05
+        G = nm.Metric(kappa * G0.matrix)
+        if kappa != 1.0:
+            with pytest.raises(nm.IncompatibleMetric):
+                invariant_projection(gamma, G, np.eye(n))
+        Q = G0.transport @ np.linalg.inv(phi)
+        assert np.abs(Q.T @ Q - np.eye(n)).max() < 1e-12
+        frame_basis = [Q @ B @ Q.T for B in basis]
+        h, hinv = G.transport, G.transport_inv
+        for _ in range(5):
+            A = rng.standard_normal((n, n))
+            S0 = 0.5 * (A + A.T)
+            P = invariant_projection(gamma, G, hinv @ S0 @ h, allow_scale=True)
+            want = sum(float(np.sum(S0 * B)) * B for B in frame_basis)
+            assert np.abs(h @ P @ hinv - want).max() < 1e-9
+            assert np.abs(want - S0).max() > 0.1
 
 
 def test_no_structure_projection_is_identity():
