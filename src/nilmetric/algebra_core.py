@@ -55,6 +55,15 @@ def pair_index(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _flat_pair_index(n: int) -> tuple:
+    """Read-only flat positions i n + j and j n + i of the pairs i < j."""
+    iu, ju = pair_index(n)
+    idx = np.array([iu * n + ju, ju * n + iu])
+    idx.flags.writeable = False
+    return tuple(idx)
+
+
+@lru_cache(maxsize=None)
 def triple_index(n: int) -> tuple:
     """Read-only (i, j, k) of the triples i < j < k in lexicographic order."""
     idx = np.indices((n, n, n)).reshape(3, -1)
@@ -94,6 +103,17 @@ def svd_nullspace(M: np.ndarray, rtol: float = TOL_NULL) -> np.ndarray:
     cutoff = rtol * s[0] if s.size else 0.0
     rank = int(np.sum(s > cutoff))
     return vt[rank:].T
+
+
+def _full_array(coeffs: np.ndarray) -> np.ndarray:
+    """The full antisymmetric (..., n, n, n) arrays of stored pair rows
+    (..., n(n-1)/2, n); leading axes are a batch."""
+    n = coeffs.shape[-1]
+    iu, ju = pair_index(n)
+    T = np.zeros(coeffs.shape[:-2] + (n, n, n))
+    T[..., iu, ju, :] = coeffs
+    T[..., ju, iu, :] = -coeffs
+    return T
 
 
 class SkewTensor:
@@ -148,11 +168,7 @@ class SkewTensor:
     def full(self) -> np.ndarray:
         """Full antisymmetric (n, n, n) array; cached."""
         if self._full is None:
-            iu, ju = pair_index(self.dim)
-            T = np.zeros((self.dim,) * 3)
-            T[iu, ju] = self.coeffs
-            T[ju, iu] = -self.coeffs
-            self._full = T
+            self._full = _full_array(self.coeffs)
         return self._full
 
     def entries(self) -> list:
@@ -364,30 +380,37 @@ def coboundary(mu: SkewTensor, A: np.ndarray) -> SkewTensor:
     n = mu.dim
     if A.shape != (n, n):
         raise DimensionMismatch(f"map shape {A.shape} vs dim {n}")
-    # on the stored pair rows only, so the result is antisymmetric by
-    # construction: with S[i,j,k] = A[l,i] mu[l,j,k], mu(., A.) at (i, j) is
-    # -S[j,i]; summing the full array instead rounds the (i, j) and (j, i)
-    # slots differently, which fails from_full's check once the three terms
-    # cancel to far below |A| |mu|
-    iu, ju = pair_index(n)
-    S = (A.T @ mu.full().reshape(n, n * n)).reshape(n, n, n)
-    return SkewTensor(n, mu.coeffs @ A.T - S[iu, ju] + S[ju, iu])
+    return SkewTensor(n, _coboundary_rows(mu.coeffs, mu.full(), A))
+
+
+def _coboundary_rows(coeffs: np.ndarray, full: np.ndarray,
+                     A: np.ndarray) -> np.ndarray:
+    """Stored pair rows of delta_mu(A) for mu given by its pair rows and its
+    full array; leading axes of either mu or A are a batch.
+
+    On the stored pair rows only, so the result is antisymmetric by
+    construction: with S[i,j,k] = A[l,i] mu[l,j,k], mu(., A.) at (i, j) is
+    -S[j,i]; summing the full array instead rounds the (i, j) and (j, i)
+    slots differently, which fails from_full's check once the three terms
+    cancel to far below |A| |mu|.
+    """
+    n = A.shape[-1]
+    ij, ji = _flat_pair_index(n)
+    At = A.swapaxes(-1, -2)
+    S = At @ full.reshape(full.shape[:-2] + (n * n,))
+    S = S.reshape(S.shape[:-2] + (n * n, n))
+    return coeffs @ At - S.take(ij, -2) + S.take(ji, -2)
 
 
 def coboundary_matrix(mu: SkewTensor) -> np.ndarray:
     """Matrix of A -> delta_mu(A) from vec(A) to stored pair coordinates.
 
     Shape (n(n-1)/2 * n, n^2); row block p*n..p*n+n holds the pair p value.
+    Column a is delta_mu of the a-th unit matrix, all in one batch.
     """
-    T = mu.full()
     n = mu.dim
-    I = np.eye(n)
-    K = (
-        np.einsum("mp,ijq->ijmpq", I, T)
-        - np.einsum("qi,pjm->ijmpq", I, T)
-        - np.einsum("qj,ipm->ijmpq", I, T)
-    )
-    return K[pair_index(n)].reshape(-1, n * n)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    return _coboundary_rows(mu.coeffs, mu.full(), units).reshape(n * n, -1).T
 
 
 def derivation_basis(mu) -> list:

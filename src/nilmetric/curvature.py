@@ -25,6 +25,18 @@ from .structures import (
 )
 
 
+def _ricci_form(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The bilinear form behind Ric = _ricci_form(T, T) on full (n, n, n)
+    arrays, -1/2 A[p,i,j] B[q,i,j] + 1/4 A[i,j,p] B[i,j,q]; leading axes of
+    A are a batch, so Ric's derivative along dT is the symmetric part of
+    2 _ricci_form(dT, T)."""
+    n = B.shape[-1]
+    first = A.reshape(A.shape[:-3] + (n, n * n))          # pij,qij->pq
+    last = A.reshape(A.shape[:-3] + (n * n, n))           # ijp,ijq->pq
+    return (-0.5 * (first @ B.reshape(n, n * n).T)
+            + 0.25 * (last.swapaxes(-1, -2) @ B.reshape(n * n, n)))
+
+
 def frame_curvature(mu0: SkewTensor, gamma: Structure, payload0) -> tuple:
     """(Ric, Ric^gamma, |mu|^2) of a bracket in an orthonormal frame, with
     payload0 the structure's maps in that frame (_transported_payload).
@@ -36,9 +48,7 @@ def frame_curvature(mu0: SkewTensor, gamma: Structure, payload0) -> tuple:
     if gamma.dim != n:
         raise DimensionMismatch(f"structure dim {gamma.dim} vs tensor dim {n}")
     T0 = mu0.full()
-    flat_first = T0.reshape(n, n * n)                     # pij,qij->pq
-    flat_last = T0.reshape(n * n, n)                      # ijp,ijq->pq
-    ric = -0.5 * (flat_first @ flat_first.T) + 0.25 * (flat_last.T @ flat_last)
+    ric = _ricci_form(T0, T0)
     ric = 0.5 * (ric + ric.T)
     ric_gamma = _frame_projection(gamma, payload0, ric)
     return ric, 0.5 * (ric_gamma + ric_gamma.T), mu0.norm2()

@@ -19,7 +19,10 @@ retraction amplifies off-variety rounding (the exponential winds the
 stabilizer of the limit), so once the direction norm is small the
 iteration hands off to phase two: a damped Gauss-Newton solve for a
 structure-group element annihilating delta_mu(D), which stays on the
-orbit by construction and converges quadratically.  Phase one alone
+orbit by construction and converges quadratically.  Its Jacobian is
+analytic (_defect_jacobian): the orbit's velocity at mu along xi is
+delta_mu(xi) and Ric is quadratic in mu, so the derivative of delta_mu(D)
+is one batched tangent map over the structure algebra.  Phase one alone
 either stalls or escapes along the rounding error; the combination is
 stable down to direction norms at rounding level.
 """
@@ -33,12 +36,14 @@ import numpy as np
 from .algebra_core import (
     Metric,
     SkewTensor,
+    _coboundary_rows,
+    _full_array,
     act,
     as_tensor,
     combine,
     expm,
 )
-from .curvature import F_of_ricci, frame_curvature, soliton_split
+from .curvature import F_of_ricci, _ricci_form, frame_curvature, soliton_split
 from .errors import (
     InvalidBracket,
     NilmetricError,
@@ -49,6 +54,7 @@ from .errors import (
 from .minimality import certify_minimal, frame_certificate
 from .structures import (
     Structure,
+    _frame_projection,
     _transported_payload,
     integrability_accepted,
     integrability_residual,
@@ -62,7 +68,6 @@ ESCAPE_FACTOR = 10.0
 MAX_HALVINGS = 40
 REGROW_AFTER = 8  # accepted steps in a row before a halved step doubles
 MAX_POLISH_ITERS = 40
-FD_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class FlowTrace:
     no_descent: bool = False
     states: list = field(default_factory=list)  # metric matrices at samples
     stop_reason: str = None  # see metric_flow and bracket_descent
-    stats: dict = field(default_factory=dict)  # metric_flow's counters
+    stats: dict = field(default_factory=dict)  # counters of the run
 
 
 def _unit(tensor: SkewTensor) -> SkewTensor:
@@ -300,7 +305,12 @@ def bracket_descent(mu, gamma: Structure = None,
     no_descent flag reports a run that did not converge (not fatal), and
     stop_reason says why the run stopped: "converged", "line_search" (no
     step decreased the functional), "stall" (the Gauss-Newton phase stopped
-    making progress) or "iteration_cap".  Raises ZeroTensor on a zero start
+    making progress) or "iteration_cap".  trace.stats counts the
+    first-phase iterations and rejected line-search trials ("iterations",
+    "backtracks"), the Gauss-Newton iterations, rejected trials and
+    Jacobians ("polish_iterations", "polish_backtracks", "jacobians"), and
+    the smallest and largest rank of the truncated-SVD solves ("rank_min",
+    "rank_max", None without a solve).  Raises ZeroTensor on a zero start
     and InvalidBracket when the start violates the integrability
     precondition.
     """
@@ -318,6 +328,9 @@ def bracket_descent(mu, gamma: Structure = None,
     payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
 
     trace = FlowTrace()
+    stats = trace.stats = {"iterations": 0, "backtracks": 0,
+                           "polish_iterations": 0, "polish_backtracks": 0,
+                           "jacobians": 0, "rank_min": None, "rank_max": None}
     k = 0
     point = _certified(_evaluate(tensor, gamma, payload0))
     trace.samples.append(_descent_sample(point, k))
@@ -346,19 +359,22 @@ def bracket_descent(mu, gamma: Structure = None,
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
                 accepted = (cand, f_new)
                 break
+            stats["backtracks"] += 1
             eta *= 0.5
         if accepted is None:
             stop = "line_search"
             break
         point, f_cur = _certified(accepted[0]), accepted[1]
         k += 1
+        stats["iterations"] += 1
         trace.samples.append(_descent_sample(point, k))
     else:
         if best[0] < 1e-2:
             polish_from = best[1]
     reason = "iteration_cap"
     if polish_from is not None:
-        basis = structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis
+        basis = np.stack(
+            structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis)
         point, f_cur, k, reason = _polish(polish_from, basis, gamma, payload0,
                                           cfg, trace, k, f_cur)
     if stop is None:
@@ -370,17 +386,49 @@ def bracket_descent(mu, gamma: Structure = None,
     return trace
 
 
-def _polish(point: tuple, basis: list, gamma: Structure, payload0,
+def _defect_jacobian(point: tuple, basis: np.ndarray, gamma: Structure,
+                     payload0) -> np.ndarray:
+    """Derivative at xi = 0 of the certified defect delta_mu(D) of
+    unit(act(expm(sum_b xi_b B_b), T)), T the unit bracket of the certified
+    point: one column per basis element B_b (basis stacked (k, n, n)), rows
+    in SkewTensor.coeffs order, all columns in one batch.
+
+    Exact, by the moment map: the orbit's velocity along B is delta_T(B),
+    and its tangential part on the unit sphere dU moves Ric by the symmetric
+    part of 2 _ricci_form(dU, T).  The projection onto the structure algebra
+    is linear and the sphere holds scal = -|mu|^2 / 4 fixed, so with
+    Ric^gamma = c I + D, dc = 2 tr(Ric^gamma dRic^gamma) / scal and
+    dD = dRic^gamma - dc I; the column is delta_dU(D) + delta_T(dD).
+    """
+    tensor, ric_gamma, norm2 = point[:3]
+    coeffs, full = tensor.coeffs, tensor.full()
+    D = soliton_split(ric_gamma, norm2)[1]
+    V = _coboundary_rows(coeffs, full, basis)
+    radial = np.tensordot(V, coeffs, 2) / np.sum(coeffs * coeffs)
+    dU = V - radial[:, None, None] * coeffs
+    dU_full = _full_array(dU)
+    dR = _ricci_form(dU_full, full)
+    dR = _frame_projection(gamma, payload0, dR + dR.swapaxes(1, 2))
+    dc = np.tensordot(dR, ric_gamma, 2) / (-0.125 * norm2)
+    dD = dR - dc[:, None, None] * np.eye(tensor.dim)
+    cols = _coboundary_rows(dU, dU_full, D) + _coboundary_rows(coeffs, full, dD)
+    return cols.reshape(len(basis), -1).T
+
+
+def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
             cfg: FlowConfig, trace: FlowTrace, k: int, f_cur: float):
     """Damped Gauss-Newton on the coefficient vector of the certified
     point's defect delta_mu(D), solving for coordinates xi in the basis of
-    the symmetric structure algebra; a trial is _move(T, combine(xi,
-    basis), alpha).
+    the symmetric structure algebra with the analytic Jacobian
+    (_defect_jacobian); a trial is _move(T, combine(xi, basis), alpha).
 
     Steps are accepted when the direction norm drops and the functional
-    does not increase beyond rounding.  Returns the last point, F,
-    iteration count and the reason the iteration stopped.
+    does not increase beyond rounding; counts go to trace.stats.  Returns
+    the last point, F, iteration count and the reason the iteration
+    stopped.
     """
+    stats = trace.stats
+    ranks = []  # of each truncated-SVD solve
     stalls = 0
     reason = "iteration_cap"
     for _ in range(MAX_POLISH_ITERS):
@@ -389,17 +437,15 @@ def _polish(point: tuple, basis: list, gamma: Structure, payload0,
             reason = "converged"
             break
         dvec = point[4].coeffs.ravel()
-        J = np.empty((dvec.size, len(basis)))
-        for i, B in enumerate(basis):
-            moved = _certified(_move(tensor, FD_EPS * B, 1.0, gamma, payload0))
-            J[:, i] = (moved[4].coeffs.ravel() - dvec) / FD_EPS
-        # Truncated-SVD solve: the finite-difference Jacobian carries noise
-        # of order eps_mach / FD_EPS, and the map has an exact nullspace
-        # (the stabilizer), so small singular values must be discarded or
-        # the step explodes along them.  A unit trust cap keeps the orbit
-        # move well inside the region where expm amplification is benign.
+        J = _defect_jacobian(point, basis, gamma, payload0)
+        # Truncated-SVD solve: the map has an exact nullspace, the
+        # stabilizer of the bracket in the structure group, whose singular
+        # values are rounding noise; they must be discarded or the step
+        # explodes along them.  A unit trust cap keeps the orbit move well
+        # inside the region where expm amplification is benign.
         U, sv, Vt = np.linalg.svd(J, full_matrices=False)
         keep = sv > max(1e-6 * sv[0], 1e-12)
+        ranks.append(int(np.count_nonzero(keep)))
         coef = (U.T @ (-dvec))[keep] / sv[keep]
         step = Vt[keep].T @ coef
         step_norm = float(np.linalg.norm(step))
@@ -415,6 +461,7 @@ def _polish(point: tuple, basis: list, gamma: Structure, payload0,
                     and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur))):
                 accepted = cand
                 break
+            stats["polish_backtracks"] += 1
             alpha *= 0.5
         if accepted is None:
             reason = "line_search"
@@ -422,10 +469,14 @@ def _polish(point: tuple, basis: list, gamma: Structure, payload0,
         stalls = stalls + 1 if accepted[4].norm() > 0.99 * nd else 0
         point, f_cur = accepted, min(f_cur, f_new)
         k += 1
+        stats["polish_iterations"] += 1
         trace.samples.append(_descent_sample(point, k))
         if stalls >= 3:
             reason = "stall"
             break
+    stats["jacobians"] = len(ranks)
+    if ranks:
+        stats["rank_min"], stats["rank_max"] = min(ranks), max(ranks)
     return point, f_cur, k, reason
 
 

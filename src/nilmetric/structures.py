@@ -82,11 +82,18 @@ def with_defaults(mu, G: Metric = None, gamma: Structure = None) -> tuple:
             no_structure(n) if gamma is None else gamma)
 
 
+def _square_payload(M, what: str) -> np.ndarray:
+    """M as a float n x n array with n >= 1; DimensionMismatch otherwise,
+    so an empty payload never reaches a max() over no entries."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionMismatch(f"{what} shape {M.shape}, expected n x n, n >= 1")
+    return M
+
+
 def symplectic_structure(omega: np.ndarray) -> Structure:
-    omega = np.asarray(omega, dtype=float)
+    omega = _square_payload(omega, "form")
     n = omega.shape[0]
-    if omega.shape != (n, n):
-        raise DimensionMismatch(f"form shape {omega.shape}")
     if n % 2:
         raise DimensionParity("symplectic structures need even dimension")
     if np.abs(omega + omega.T).max() > 1e-12 * (1 + np.abs(omega).max()):
@@ -98,10 +105,8 @@ def symplectic_structure(omega: np.ndarray) -> Structure:
 
 
 def complex_structure(J: np.ndarray) -> Structure:
-    J = np.asarray(J, dtype=float)
+    J = _square_payload(J, "map")
     n = J.shape[0]
-    if J.shape != (n, n):
-        raise DimensionMismatch(f"map shape {J.shape}")
     if n % 2:
         raise DimensionParity("complex structures need even dimension")
     if np.abs(J @ J + np.eye(n)).max() > 1e-10:
@@ -110,11 +115,10 @@ def complex_structure(J: np.ndarray) -> Structure:
 
 
 def hypercomplex_structure(J1, J2, J3) -> Structure:
-    J1, J2, J3 = (np.asarray(J, dtype=float) for J in (J1, J2, J3))
+    J1, J2, J3 = (_square_payload(J, "map") for J in (J1, J2, J3))
     n = J1.shape[0]
-    for J in (J1, J2, J3):
-        if J.shape != (n, n):
-            raise DimensionMismatch("hypercomplex maps must share one shape")
+    if not J1.shape == J2.shape == J3.shape:
+        raise DimensionMismatch("hypercomplex maps must share one shape")
     if n % 4:
         raise DimensionParity("hypercomplex structures need dimension divisible by 4")
     for J in (J1, J2, J3):

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import nilmetric as nm
+from nilmetric.flows import _certified, _evaluate
 
 
 def graded_two_step(n, n1, rng, density=0.5):
@@ -62,6 +63,20 @@ def basis_projection(gamma, S):
     constraint nullspace computed without the reflection formulas."""
     basis = nm.structure_algebra(gamma, nm.Metric.identity(gamma.dim)).sym_basis
     return sum(float(np.sum(S * B)) * B for B in basis)
+
+
+def fd_defect_jacobian(point, basis, gamma, payload0, eps=1e-7):
+    """Reference for flows._defect_jacobian: one forward difference of the
+    certified defect per basis element, each a step to
+    unit(act(expm(eps B), T)) and a fresh certificate there."""
+    tensor, dvec = point[0], point[4].coeffs.ravel()
+    J = np.empty((dvec.size, len(basis)))
+    for i, B in enumerate(basis):
+        moved = nm.act(expm(eps * B), tensor)
+        moved = _certified(_evaluate(moved.scaled(1.0 / moved.norm()), gamma,
+                                     payload0))
+        J[:, i] = (moved[4].coeffs.ravel() - dvec) / eps
+    return J
 
 
 def count_kernel_calls(monkeypatch, module: str) -> list:

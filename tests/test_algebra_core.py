@@ -256,12 +256,14 @@ def test_coboundary_of_identity_is_minus_bracket():
 
 def test_coboundary_matrix_matches_direct():
     rng = np.random.default_rng(11)
-    t = nm.complex_curve(2.0).tensor
-    A = rng.standard_normal((6, 6))
-    M = nm.coboundary_matrix(t)
-    vec = M @ A.ravel()
-    direct = nm.coboundary(t, A)
-    assert np.abs(vec.reshape(direct.coeffs.shape) - direct.coeffs).max() < 1e-12
+    tensors = [nm.complex_curve(2.0).tensor] + [
+        nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+        for n in (2, 3, 5, 8)]
+    for t in tensors:
+        A = rng.standard_normal((t.dim, t.dim))
+        vec = nm.coboundary_matrix(t) @ A.ravel()
+        direct = nm.coboundary(t, A).coeffs.ravel()
+        assert np.abs(vec - direct).max() < 1e-12
 
 
 def test_derivation_dimensions_heisenberg():

@@ -8,8 +8,10 @@ from scipy.linalg import expm
 
 import nilmetric as nm
 
-from conftest import (coarse_flow_start, count_kernel_calls, perturbed_m26,
-                      reference_direction)
+from conftest import (coarse_flow_start, count_kernel_calls,
+                      fd_defect_jacobian, perturbed_m26, reference_direction)
+from nilmetric.flows import _certified, _defect_jacobian, _evaluate
+from nilmetric.structures import _transported_payload
 
 
 def test_zero_bracket_flow_is_stationary():
@@ -199,7 +201,9 @@ def test_descent_direction_is_minus_coboundary_of_D(name):
 def test_descent_computes_one_defect_per_bracket(sp6_basis, monkeypatch):
     # the certificate's coboundary delta_mu(D) of a bracket gives its
     # direction, its stop-test norm, its Gauss-Newton residual and its trace
-    # row: no bracket has it computed twice
+    # row: no bracket has it computed twice, and it is computed for the
+    # trace rows and for the Gauss-Newton trials that were rejected (a
+    # rejected first-phase trial needs only F; the Jacobian needs none)
     calls = []
 
     def counted(mu, A):
@@ -215,7 +219,7 @@ def test_descent_computes_one_defect_per_bracket(sp6_basis, monkeypatch):
     trace = nm.bracket_descent(start, gamma=gamma)
     monkeypatch.undo()
     assert trace.converged
-    assert len(calls) > len(trace.samples)
+    assert len(calls) == len(trace.samples) + trace.stats["polish_backtracks"]
     assert len(calls) == len(set(calls))
     cert = nm.certify_minimal(trace.final_state, gamma=gamma)
     assert trace.samples[-1][3] == cert.residual
@@ -390,7 +394,58 @@ def test_descent_calls_kernel_once_per_bracket(sp6_basis, monkeypatch):
     trace = nm.bracket_descent(start, gamma=nm.m26_point(1.0, 0.0).structure)
     assert trace.converged
     assert len(calls) == len(set(calls))
-    assert len(calls) > len(trace.samples)
+    # one per trace row and one per rejected line-search trial of either
+    # phase; the Jacobian makes none
+    stats = trace.stats
+    assert len(calls) == (len(trace.samples) + stats["backtracks"]
+                          + stats["polish_backtracks"])
+
+
+def test_descent_stats_count_the_run(sp6_basis):
+    gamma = nm.m26_point(1.0, 0.0).structure
+    start = perturbed_m26(sp6_basis, np.random.default_rng(501), scale=0.3)
+    trace = nm.bracket_descent(start, gamma=gamma)
+    stats = trace.stats
+    assert trace.converged
+    assert len(trace.samples) == (1 + stats["iterations"]
+                                  + stats["polish_iterations"])
+    assert stats["polish_iterations"] >= 1
+    assert stats["polish_iterations"] <= stats["jacobians"]
+    # the symmetric structure algebra of m26 has dimension 12, and the
+    # stabilizer of a bracket near the limit drops the rank of the solve
+    assert 1 <= stats["rank_min"] <= stats["rank_max"] <= 12
+    assert nm.bracket_descent(start, gamma=gamma).stats == stats
+    at_limit = nm.bracket_descent(nm.m26_point(1.0, 0.0).tensor, gamma=gamma)
+    assert at_limit.stats == {"iterations": 0, "backtracks": 0,
+                              "polish_iterations": 0, "polish_backtracks": 0,
+                              "jacobians": 0, "rank_min": None,
+                              "rank_max": None}
+
+
+@pytest.mark.parametrize("name,structured", [
+    ("m26", True), ("iwasawa-curve", True), ("hc-g3", True), ("m26", False)])
+def test_defect_jacobian_matches_finite_differences(name, structured):
+    # at perturbed points, off the orbit too (the whole orbit of hc-g3 is
+    # minimal, so there its defect and Jacobian vanish identically)
+    p = nm.catalog_get(name)
+    n = p.tensor.dim
+    gamma = p.structure if structured else nm.no_structure(n)
+    identity = nm.Metric.identity(n)
+    basis = nm.structure_algebra(gamma, identity).sym_basis
+    group = nm.structure_group_basis(p.structure, identity)
+    payload0 = _transported_payload(gamma, identity)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        xi = sum(c * B for c, B in zip(rng.standard_normal(len(group)), group))
+        T = nm.act(expm(0.3 * xi / np.linalg.norm(xi)), p.tensor)
+        T = T.plus(nm.SkewTensor(n, rng.standard_normal(T.coeffs.shape)),
+                   0.05 / np.sqrt(T.coeffs.size))
+        point = _certified(_evaluate(T.scaled(1.0 / T.norm()), gamma,
+                                     payload0))
+        got = _defect_jacobian(point, np.stack(basis), gamma, payload0)
+        want = fd_defect_jacobian(point, basis, gamma, payload0)
+        assert got.shape == want.shape == (T.coeffs.size, len(basis))
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
 
 def test_descent_stop_reasons(sp6_basis):

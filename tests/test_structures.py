@@ -53,6 +53,16 @@ def test_structure_constructor_validation():
         nm.symplectic_structure(degenerate)
 
 
+@pytest.mark.parametrize("build", [
+    nm.symplectic_structure,
+    nm.complex_structure,
+    lambda J: nm.hypercomplex_structure(J, J, J),
+], ids=["symplectic", "complex", "hypercomplex"])
+def test_structure_builders_reject_empty_payload(build):
+    with pytest.raises(nm.DimensionMismatch):
+        build(np.zeros((0, 0)))
+
+
 def test_symplectic_nondegeneracy_is_relative():
     # rank is judged by s_min <= TOL_NULL s_max, so the overall scale of
     # the form does not matter but its condition number does
