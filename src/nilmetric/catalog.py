@@ -164,7 +164,7 @@ def m26_point(x: float, y: float) -> FamilyPoint:
     x = float(x)
     y = float(y)
     constraint = x * x + x * y + y * y - 1.0
-    if abs(constraint) > 1e-12:
+    if not abs(constraint) <= 1e-12:
         raise FamilyConstraint(
             f"(x, y) must satisfy x^2 + xy + y^2 = 1 (residual {constraint:.3e})"
         )

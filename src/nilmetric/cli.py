@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .algebra_core import (Bracket, Metric, act, combine, expm, expm_skew,
                            jacobi_accepted, jacobi_residual, lower_central_dims)
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
-from .defaults import TOL_COMPAT, certification_tolerance
+from .defaults import TOL_COMPAT, TOL_DISTINGUISH, certification_tolerance
 from .errors import NilmetricError, ParseError
 from .flows import FlowConfig, bracket_descent, metric_flow
 from .minimality import certify_minimal, distinguish, fingerprint
@@ -30,12 +31,12 @@ from .structures import (compatibility_residual, integrability_accepted,
                          integrability_residual, structure_group_basis)
 
 
-def _emit(payload: dict):
-    print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
-
-
-def _header() -> dict:
-    return {"format": 1, "tool": f"nilmetric {__version__}"}
+def _emit(payload) -> None:
+    """Print the format header and the fields of payload, a dict or a
+    result record, as one JSON object with sorted keys."""
+    fields = {"format": 1, "tool": f"nilmetric {__version__}"}
+    fields.update(jsonable(payload))
+    print(json.dumps(fields, indent=2, sort_keys=True))
 
 
 def cmd_check(args) -> int:
@@ -52,8 +53,7 @@ def cmd_check(args) -> int:
         "integrability": integrability_accepted(integ, tensor),
         "compatibility": bool(compat <= TOL_COMPAT),
     }
-    report = _header()
-    report.update({
+    report = {
         "dim": problem.dim,
         "jacobi_residual": jac,
         "lcs_dims": lcs,
@@ -63,7 +63,7 @@ def cmd_check(args) -> int:
         "compatibility_residual": compat,
         "checks": checks,
         "pass": all(checks.values()),
-    })
+    }
     _emit(report)
     return 0 if report["pass"] else 1
 
@@ -71,9 +71,7 @@ def cmd_check(args) -> int:
 def cmd_curvature(args) -> int:
     problem = load_problem(args.file)
     report = curvature_report(problem.tensor, problem.metric, problem.structure)
-    payload = _header()
-    payload.update(jsonable(report), dim=problem.dim)
-    _emit(payload)
+    _emit({**jsonable(report), "dim": problem.dim})
     return 0
 
 
@@ -90,9 +88,7 @@ def cmd_certify(args) -> int:
     tol = _problem_tolerance(problem, args)
     cert = certify_minimal(problem.tensor, problem.metric, problem.structure,
                            tol=tol)
-    payload = _header()
-    payload.update(jsonable(cert))
-    _emit(payload)
+    _emit(cert)
     return 0 if cert.minimal else 3
 
 
@@ -110,8 +106,7 @@ def cmd_flow(args) -> int:
                 writer.writerow([f"{v:.17g}" for v in row])
     first = trace.samples[0]
     last = trace.samples[-1]
-    payload = _header()
-    payload.update({
+    _emit({
         "steps": len(trace.samples) - 1,
         "t_final": last[0],
         "scal_initial": first[1],
@@ -125,7 +120,6 @@ def cmd_flow(args) -> int:
         "normalized": not args.unnormalized,
         "sign": args.sign,
     })
-    _emit(payload)
     return 0 if trace.converged else 3
 
 
@@ -173,8 +167,7 @@ def cmd_search(args) -> int:
                for k in range(args.starts)]
     best = min(results, key=lambda r: (not r["converged"], r["F_final"]))
     cert = best["_cert"]
-    payload = _header()
-    payload.update({
+    _emit({
         "starts": [{k: v for k, v in r.items() if not k.startswith("_")}
                    for r in results],
         "best": {
@@ -185,16 +178,13 @@ def cmd_search(args) -> int:
             "bracket": best["_final"],
         },
     })
-    _emit(payload)
     return 0 if best["converged"] and cert.minimal else 3
 
 
 def cmd_fingerprint(args) -> int:
     problem = load_problem(args.file)
     fp = fingerprint(Bracket(problem.tensor), problem.metric, problem.structure)
-    payload = _header()
-    payload.update(jsonable(fp))
-    _emit(payload)
+    _emit(fp)
     return 0
 
 
@@ -204,22 +194,18 @@ def cmd_distinguish(args) -> int:
     fa = fingerprint(Bracket(pa.tensor), pa.metric, pa.structure)
     fb = fingerprint(Bracket(pb.tensor), pb.metric, pb.structure)
     verdict = distinguish(fa, fb, tol=args.tol)
-    payload = _header()
-    payload.update({
+    _emit({
         "verdict": verdict,
         "tolerance": args.tol,
         "fingerprint_a": fa,
         "fingerprint_b": fb,
     })
-    _emit(payload)
     return 0 if verdict == "Distinct" else 3
 
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        payload = _header()
-        payload["catalog"] = catalog_list()
-        _emit(payload)
+        _emit({"catalog": catalog_list()})
         return 0
     params = {}
     for item in args.params:
@@ -229,10 +215,9 @@ def cmd_catalog(args) -> int:
             return 2
         key, _, value = item.partition("=")
         try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            print(f"error: catalog parameter {item!r} has a non-numeric value",
-                  file=sys.stderr)
+            params[key.strip()] = _FINITE(value)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: catalog parameter {item!r}: {exc}", file=sys.stderr)
             return 2
     try:
         point = catalog_get(args.id, params)
@@ -244,14 +229,34 @@ def cmd_catalog(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        summary = _header()
-        summary.update({"written": args.out, "family_id": point.family_id,
-                        "params": point.params,
-                        "validation": point.validation})
-        _emit(summary)
+        _emit({"written": args.out, "family_id": point.family_id,
+               "params": point.params, "validation": point.validation})
     else:
         print(text)
     return 0
+
+
+def _number(cast, what: str, test):
+    """An argparse type: cast(text) if test accepts it; otherwise argparse
+    names the flag in one error line and exits 2."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            ok = test(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_FINITE = _number(float, "a finite number", math.isfinite)
+_POSITIVE = _number(float, "a positive finite number",
+                    lambda value: math.isfinite(value) and value > 0)
+_NON_NEGATIVE = _number(float, "a finite number >= 0",
+                        lambda value: math.isfinite(value) and value >= 0)
+_POSITIVE_INT = _number(int, "a positive integer", lambda value: value > 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="minimality certificate as JSON")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_POSITIVE, default=None,
                    help="certification tolerance (default from options/env)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("flow", help="integrate the invariant Ricci flow")
     p.add_argument("file")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--step", type=_POSITIVE, default=FlowConfig.step)
+    p.add_argument("--horizon", type=_POSITIVE, default=FlowConfig.horizon)
     p.add_argument("--sign", choices=["plus", "minus"], default="minus")
     p.add_argument("--unnormalized", action="store_true",
                    help="drop the scalar-curvature-preserving trace term")
@@ -292,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="multi-start descent to a minimal bracket")
     p.add_argument("file")
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=_POSITIVE_INT, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturbation", type=float, default=0.2,
+    p.add_argument("--perturbation", type=_NON_NEGATIVE, default=0.2,
                    help="size of the random structure-group perturbations")
-    p.add_argument("--tol-converge", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--tol-converge", type=_POSITIVE, default=FlowConfig.tol_converge)
+    p.add_argument("--max-iter", type=_POSITIVE_INT, default=FlowConfig.max_iter)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fingerprint", help="spectral fingerprint as JSON")
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distinguish", help="compare two fingerprints")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=TOL_DISTINGUISH)
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("catalog", help="list presets or export one")

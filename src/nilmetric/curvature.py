@@ -77,11 +77,11 @@ def scalar_curvature(mu, G: Metric = None) -> float:
 
 
 def moment_map(mu) -> np.ndarray:
-    """Moment map value m(mu) at the identity metric; equals 8 * Ric."""
+    """Moment map value m(mu) at the identity metric: 8 Ric, from the
+    kernel's Ricci form (the identity m = 8 Ric)."""
     T = as_tensor(mu).full()
-    M1 = np.einsum("pij,qij->pq", T, T, optimize=True)
-    M2 = np.einsum("ijp,ijq->pq", T, T, optimize=True)
-    return -4.0 * M1 + 2.0 * M2
+    ric = _ricci_form(T, T)
+    return 4.0 * (ric + ric.T)
 
 
 def invariant_ricci(mu, G: Metric, gamma: Structure,

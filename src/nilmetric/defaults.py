@@ -31,7 +31,8 @@ def certification_tolerance() -> float:
     """Certificate tolerance, honoring the NILMETRIC_TOL environment variable.
 
     Read at call time so tests and batch drivers can adjust it per run.
-    Raises ParseError when the variable is set but is not a positive number.
+    Raises ParseError when the variable is set but is not a positive finite
+    number.
     """
     raw = os.environ.get(ENV_TOL)
     if raw is None:
@@ -40,6 +41,6 @@ def certification_tolerance() -> float:
         value = float(raw)
     except ValueError:
         raise ParseError(f"{ENV_TOL}={raw!r} is not a number") from None
-    if not value > 0:
-        raise ParseError(f"{ENV_TOL}={raw!r} must be positive")
+    if not 0 < value < float("inf"):
+        raise ParseError(f"{ENV_TOL}={raw!r} must be positive and finite")
     return value

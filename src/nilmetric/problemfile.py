@@ -148,7 +148,7 @@ def parse_problem(data: dict, source: str = "problem") -> ProblemFile:
             tol = float(options["tol"])
         except _NOT_A_NUMBER as exc:
             raise ParseError(f"{source}: options.tol must be a real number") from exc
-        _require(tol > 0, f"{source}: options.tol must be positive")
+        _require(0 < tol < np.inf, f"{source}: options.tol must be positive and finite")
     return ProblemFile(dim=dim, tensor=tensor, structure=structure,
                        metric=metric, options=dict(options))
 

@@ -12,10 +12,13 @@ A Structure is a tagged payload:
 - ``hypercomplex``: three maps (J1, J2, J3) obeying the quaternion
   identities J1 J2 = J3 = -J2 J1, Ji^2 = -I.
 
-In a G-orthonormal frame every class is one tuple of maps J_k with
-J_k^2 = -I (_transported_payload), and the projection onto the symmetric
-structure algebra is (S + s sum_k J_k S J_k) / (1 + k): s = +1 for the
-normalized symplectic map, s = -1 for complex maps.
+In the G-orthonormal frame every class is one tuple of maps J_k
+(_frame_maps), and G is compatible iff J_k^T J_k = kappa I for each, with
+kappa = 1 unless a scale is allowed.  Divided by sqrt(kappa), the maps give
+the projection onto the symmetric structure algebra, (S + s sum_k J_k S
+J_k) / (1 + k): s = +1 for the symplectic map, s = -1 for complex maps.
+Integrability and the abelian test are one defect array per condition:
+the closedness rows of a form, one array per complex map.
 """
 
 from __future__ import annotations
@@ -136,15 +139,43 @@ def metric_jmap(gamma: Structure, G: Metric) -> np.ndarray:
     return np.linalg.solve(G.matrix, gamma.payload)
 
 
-def compatibility_residual(gamma: Structure, G: Metric) -> float:
-    """Deviation of G from the compatible cone of the structure; 0 iff inside."""
+def _frame_maps(gamma: Structure, G: Metric, allow_scale: bool = False) -> tuple:
+    """(maps, residual): the structure's maps in the G-orthonormal frame
+    (h^-T omega h^-1 for a form, h J h^-1 per complex map), each divided by
+    sqrt(kappa), and the compatibility residual max_k |J_k^T J_k - kappa I|_max
+    / kappa, with kappa = tr(J_k^T J_k) / n under allow_scale and 1 otherwise."""
     if gamma.dim != G.dim:
         raise DimensionMismatch(f"structure dim {gamma.dim} vs metric dim {G.dim}")
+    n = gamma.dim
+    h, hinv = G.transport, G.transport_inv
     if gamma.tag == SYMPLECTIC:
-        JG = metric_jmap(gamma, G)
-        return float(np.linalg.norm(JG @ JG + np.eye(gamma.dim)))
-    return max((float(np.linalg.norm(J.T @ G.matrix @ J - G.matrix))
-                for J in gamma.maps()), default=0.0)
+        frame = (hinv.T @ gamma.payload @ hinv,)
+    else:
+        frame = tuple(h @ J @ hinv for J in gamma.maps())
+    maps, residuals = [], []
+    for M in frame:
+        MtM = M.T @ M
+        kappa = np.trace(MtM) / n if allow_scale else 1.0
+        residuals.append(np.abs(MtM - kappa * np.eye(n)).max() / kappa)
+        maps.append(M / np.sqrt(kappa))
+    return tuple(maps), float(np.max(residuals, initial=0.0))
+
+
+def _transported_payload(gamma: Structure, G: Metric,
+                         allow_scale: bool = False) -> tuple:
+    """The frame maps of _frame_maps; raises IncompatibleMetric when their
+    residual exceeds TOL_COMPAT."""
+    maps, residual = _frame_maps(gamma, G, allow_scale)
+    if not residual <= TOL_COMPAT:
+        raise IncompatibleMetric(
+            f"metric is not compatible with the structure (residual {residual:.3g})")
+    return maps
+
+
+def compatibility_residual(gamma: Structure, G: Metric) -> float:
+    """Relative deviation of G from the structure's compatible metrics,
+    measured in the G-orthonormal frame (_frame_maps); 0 iff compatible."""
+    return _frame_maps(gamma, G)[1]
 
 
 def _closedness_rows(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -162,27 +193,28 @@ def _nijenhuis_defect(J: np.ndarray, T: np.ndarray) -> np.ndarray:
     return A1 - T - B1 - B2
 
 
-def integrability_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
-    """Stacked integrability defect, linear in mu; empty for NoStructure."""
+def _integrability_parts(gamma: Structure, mu: SkewTensor) -> list:
+    """One defect array per integrability condition, each linear in mu:
+    the closedness rows of a form, the Nijenhuis pair rows of each map."""
     if gamma.dim != mu.dim:
         raise DimensionMismatch(f"structure dim {gamma.dim} vs tensor dim {mu.dim}")
     T = mu.full()
-    if gamma.tag == NO_STRUCTURE:
-        return np.zeros(0)
     if gamma.tag == SYMPLECTIC:
-        return _closedness_rows(gamma.payload, T)
-    return np.concatenate([_nijenhuis_defect(J, T)[pair_index(mu.dim)].ravel()
-                           for J in gamma.maps()])
+        return [_closedness_rows(gamma.payload, T)]
+    pairs = pair_index(mu.dim)
+    return [_nijenhuis_defect(J, T)[pairs].ravel() for J in gamma.maps()]
+
+
+def integrability_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
+    """Stacked integrability defect, linear in mu; empty for NoStructure."""
+    return np.concatenate([np.zeros(0)] + _integrability_parts(gamma, mu))
 
 
 def integrability_residual(gamma: Structure, mu: SkewTensor) -> float:
-    """Norm of the integrability defect; 0 iff mu lies in the structure's
-    integrable subspace (closedness for symplectic, vanishing Nijenhuis
-    defect for complex and hypercomplex)."""
-    if gamma.tag == HYPERCOMPLEX:
-        return max(integrability_residual(Structure(COMPLEX, gamma.dim, J), mu)
-                   for J in gamma.maps())
-    return float(np.linalg.norm(integrability_defect(gamma, mu)))
+    """Largest norm of one condition's defect; 0 iff mu lies in the
+    structure's integrable subspace (closed form, or no Nijenhuis defect)."""
+    return max((float(np.linalg.norm(d)) for d in _integrability_parts(gamma, mu)),
+               default=0.0)
 
 
 def integrability_accepted(residual: float, mu: SkewTensor) -> bool:
@@ -190,57 +222,26 @@ def integrability_accepted(residual: float, mu: SkewTensor) -> bool:
     return residual <= TOL_COMPAT * (1.0 + mu.norm())
 
 
-def abelian_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
-    """Stacked values of mu(J., J.) - mu over the structure's maps."""
-    if gamma.tag not in (COMPLEX, HYPERCOMPLEX):
+def _abelian_parts(gamma: Structure, mu: SkewTensor) -> list:
+    """The pair rows of mu(J., J.) - mu, one array per map."""
+    if not gamma.maps():
         raise WrongTag("abelian condition needs a complex or hypercomplex structure")
     T = mu.full()
     pairs = pair_index(mu.dim)
-    return np.concatenate([
-        (np.einsum("ai,bj,abk->ijk", J, J, T, optimize=True) - T)[pairs].ravel()
-        for J in gamma.maps()])
+    return [(np.einsum("ai,bj,abk->ijk", J, J, T, optimize=True) - T)[pairs].ravel()
+            for J in gamma.maps()]
+
+
+def abelian_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
+    """Stacked values of mu(J., J.) - mu over the structure's maps."""
+    return np.concatenate(_abelian_parts(gamma, mu))
 
 
 def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
-    """V-norm deviation of mu from being abelian for the structure's maps.
-
-    Each i < j pair counts twice, matching the tensor inner product.
-    """
-    if gamma.tag == HYPERCOMPLEX:
-        return max(abelian_residual(Structure(COMPLEX, gamma.dim, J), mu)
-                   for J in gamma.maps())
-    return float(np.sqrt(2.0) * np.linalg.norm(abelian_defect(gamma, mu)))
-
-
-def _transported_payload(gamma: Structure, G: Metric,
-                         allow_scale: bool = False) -> tuple:
-    """The structure's maps in the G-orthonormal frame: () for none,
-    h J h^-1 per complex map, and for a symplectic form the one map
-    h J_G h^-1 = h^-T omega h^-1 divided by sqrt(kappa),
-    kappa = -tr(J^2) / n.
-
-    Raises IncompatibleMetric unless G is compatible: a symplectic G must
-    lie in the conformal cone (J^2 = -kappa I to 1e-8 kappa, kappa > 0)
-    and, unless allow_scale is set, have kappa = 1 to TOL_COMPAT.
-    """
-    if gamma.dim != G.dim:
-        raise DimensionMismatch(f"structure dim {gamma.dim} vs metric dim {G.dim}")
-    h = G.transport
-    hinv = G.transport_inv
-    if gamma.tag == SYMPLECTIC:
-        J = hinv.T @ gamma.payload @ hinv
-        J2 = J @ J
-        kappa = -float(np.trace(J2)) / gamma.dim
-        if kappa <= 0 or np.abs(J2 + kappa * np.eye(gamma.dim)).max() > 1e-8 * kappa:
-            raise IncompatibleMetric("metric leaves the conformal compatible cone")
-        if not allow_scale and abs(kappa - 1.0) > TOL_COMPAT:
-            raise IncompatibleMetric(
-                f"metric compatible only up to scale (kappa = {kappa:.6g})"
-            )
-        return (J / np.sqrt(kappa),)
-    if compatibility_residual(gamma, G) > TOL_COMPAT:
-        raise IncompatibleMetric("metric is not compatible with the structure")
-    return tuple(h @ J @ hinv for J in gamma.maps())
+    """V-norm deviation of mu from being abelian, largest over the maps;
+    each i < j pair counts twice, matching the tensor inner product."""
+    return float(np.sqrt(2.0) * max(np.linalg.norm(d)
+                                    for d in _abelian_parts(gamma, mu)))
 
 
 def _frame_constraint_rows(gamma: Structure, payload0, B: np.ndarray) -> np.ndarray:
@@ -318,14 +319,9 @@ def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
 
 
 def _grading_preserved(gamma: Structure, n1: int) -> bool:
-    for J in gamma.maps():
-        if np.abs(J[:n1, n1:]).max() > 1e-12 or np.abs(J[n1:, :n1]).max() > 1e-12:
-            return False
-    if gamma.tag == SYMPLECTIC:
-        omega = gamma.payload
-        if np.abs(omega[:n1, n1:]).max() > 1e-12 or np.abs(omega[n1:, :n1]).max() > 1e-12:
-            return False
-    return True
+    payload = (gamma.payload,) if gamma.tag == SYMPLECTIC else gamma.maps()
+    return all(np.abs(M[:n1, n1:]).max() <= 1e-12 and np.abs(M[n1:, :n1]).max() <= 1e-12
+               for M in payload)
 
 
 def graded_ambient_basis(n1: int, n2: int) -> list:
@@ -371,10 +367,7 @@ def integrable_nullspace(gamma: Structure, basis: list,
                          abelian: bool = False) -> np.ndarray:
     """Orthonormal coefficient vectors (columns) of the combinations of the
     basis tensors that are integrable, and abelian too if abelian is set."""
-    rows = []
-    for b in basis:
-        vec = integrability_defect(gamma, b)
-        if abelian:
-            vec = np.concatenate([vec, abelian_defect(gamma, b)])
-        rows.append(vec)
+    rows = [np.concatenate([integrability_defect(gamma, b)]
+                           + (_abelian_parts(gamma, b) if abelian else []))
+            for b in basis]
     return svd_nullspace(np.array(rows).T)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import nilmetric as nm
+from nilmetric.algebra_core import as_tensor
 from nilmetric.flows import _certified, _evaluate
 
 
@@ -55,6 +56,17 @@ def sp6_basis():
     structure at the identity metric (dimension 21)."""
     gamma = nm.standard_structure("symplectic", 6)
     return nm.structure_group_basis(gamma, nm.Metric.identity(6))
+
+
+def moment_map_reference(mu):
+    """Reference for nm.moment_map, which is 8 Ric from the curvature
+    kernel: the moment map m(mu) = -4 M1 + 2 M2 at the identity metric,
+    with M1 = mu(p,i,j) mu(q,i,j) and M2 = mu(i,j,p) mu(i,j,q) summed by
+    einsum over the full array."""
+    T = as_tensor(mu).full()
+    M1 = np.einsum("pij,qij->pq", T, T, optimize=True)
+    M2 = np.einsum("ijp,ijq->pq", T, T, optimize=True)
+    return -4.0 * M1 + 2.0 * M2
 
 
 def basis_projection(gamma, S):

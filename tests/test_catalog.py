@@ -17,6 +17,13 @@ def test_m26_point_requires_ellipse():
         nm.m26_point(0.6, 0.46)
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (1.0, math.nan),
+                                  (math.inf, 0.0)])
+def test_m26_point_rejects_non_finite(x, y):
+    with pytest.raises(nm.FamilyConstraint):
+        nm.m26_point(x, y)
+
+
 def test_ellipse_points_on_constraint():
     pts = nm.ellipse_points(20)
     assert len(pts) == 20

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import nilmetric as nm
-from nilmetric.cli import main
-from nilmetric.defaults import TOL_JACOBI
+from nilmetric.cli import build_parser, main
+from nilmetric.defaults import TOL_DISTINGUISH, TOL_JACOBI
 from nilmetric.problemfile import jsonable
 
 
@@ -55,6 +55,15 @@ def test_catalog_get_errors(capsys):
     assert run(capsys, ["catalog", "get", "m26", "x"])[0] == 2
     assert run(capsys, ["catalog", "get", "m26", "x=a"])[0] == 2
     assert run(capsys, ["catalog", "get", "m26", "z=1"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["m26", "x=nan"], ["m26", "y=-inf"],
+                                  ["iwasawa-curve", "t=inf"]])
+def test_catalog_get_rejects_non_finite_parameters(capsys, argv):
+    code, out, err = run(capsys, ["catalog", "get"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_catalog_to_check_to_certify_chain(capsys, tmp_path):
@@ -146,7 +155,7 @@ def test_certify_tolerance_from_env(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["tolerance"] == pytest.approx(1e3)
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
 def test_malformed_tolerance_env_is_an_error(capsys, tmp_path, monkeypatch,
                                              raw):
     p = nm.m26_point(1.0, 0.0)
@@ -271,6 +280,43 @@ def test_fingerprint_and_distinguish(capsys, tmp_path):
     code, out, _ = run(capsys, ["distinguish", pa, pa])
     assert code == 3
     assert json.loads(out)["verdict"] == "Indistinguishable"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["distinguish", "F", "F", "--tol", "-1"], "--tol"),
+    (["certify", "F", "--tol", "nan"], "--tol"),
+    (["certify", "F", "--tol", "-1"], "--tol"),
+    (["flow", "F", "--step", "0"], "--step"),
+    (["flow", "F", "--horizon", "inf"], "--horizon"),
+    (["search", "F", "--starts", "0"], "--starts"),
+    (["search", "F", "--starts", "-1"], "--starts"),
+    (["search", "F", "--starts", "2.5"], "--starts"),
+    (["search", "F", "--tol-converge", "-1"], "--tol-converge"),
+    (["search", "F", "--max-iter", "0"], "--max-iter"),
+    (["search", "F", "--perturbation", "nan"], "--perturbation"),
+    (["search", "F", "--perturbation", "-0.1"], "--perturbation"),
+])
+def test_bad_numeric_flags_exit_2(capsys, tmp_path, argv, flag):
+    p = nm.m26_point(1.0, 0.0)
+    path = write_problem(tmp_path, "m26.json", p.tensor, p.structure)
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "F" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
+def test_cli_defaults_come_from_the_library():
+    parser = build_parser()
+    search = parser.parse_args(["search", "F"])
+    flow = parser.parse_args(["flow", "F"])
+    cfg = nm.FlowConfig()
+    assert (flow.step, flow.horizon) == (cfg.step, cfg.horizon)
+    assert (search.tol_converge, search.max_iter) == (cfg.tol_converge,
+                                                      cfg.max_iter)
+    assert parser.parse_args(["distinguish", "F", "F"]).tol == TOL_DISTINGUISH
 
 
 def test_all_json_outputs_carry_format_header(capsys, tmp_path):

@@ -57,6 +57,8 @@ def test_parse_defaults_tolerate_missing_bracket():
     (lambda d: d.update(metric=np.diag([1.0, 1.0, -1.0]).tolist()),
      "metric"),
     (lambda d: d.update(options={"tol": -1.0}), "must be positive"),
+    (lambda d: d.update(options={"tol": float("inf")}),
+     "options.tol must be positive and finite"),
     (lambda d: d.update(options={"tol": "x"}), "must be a real number"),
     # JSON integers beyond the float range, and finite entries whose
     # symmetrization overflows

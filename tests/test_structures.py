@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nilmetric as nm
-from nilmetric.algebra_core import expm
+from nilmetric.algebra_core import combine, expm
+from nilmetric.defaults import TOL_COMPAT
 from nilmetric.structures import (
     abelian_residual,
     integrability_defect,
@@ -125,6 +127,75 @@ def test_abelian_residual_golden():
     p = nm.complex_curve(1.0)
     assert abelian_residual(p.structure, p.tensor) == pytest.approx(
         8.0 * np.sqrt(2.0), abs=1e-12)
+
+
+def test_hypercomplex_residuals_are_the_largest_over_its_maps():
+    amb = nm.hypercomplex_ambient()
+    rng = np.random.default_rng(59)
+    complexes = [nm.complex_structure(J) for J in amb.structure.maps()]
+    for t in (amb.sample(rng), amb.sample(rng, abelian=True),
+              nm.SkewTensor(8, rng.standard_normal((28, 8)))):
+        assert nm.integrability_residual(amb.structure, t) == max(
+            nm.integrability_residual(c, t) for c in complexes)
+        assert abelian_residual(amb.structure, t) == max(
+            abelian_residual(c, t) for c in complexes)
+
+
+@pytest.mark.parametrize("gamma", [nm.no_structure(6),
+                                   nm.standard_structure("symplectic", 6)])
+def test_abelian_residual_needs_complex_maps(gamma):
+    with pytest.raises(nm.WrongTag):
+        abelian_residual(gamma, nm.m26_point(1.0, 0.0).tensor)
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e-8])
+@pytest.mark.parametrize("preset", ["m26", "iwasawa-curve", "hc-g3"])
+def test_scaled_compatible_metric_is_accepted(preset, scale):
+    # (act(phi^-1, mu), phi^T phi) is isometric to the minimal (mu, I) for
+    # phi in the structure group; compatibility with complex maps does not
+    # see the metric's scale, a symplectic form fixes it unless allow_scale
+    p = nm.catalog_get(preset)
+    n = p.tensor.dim
+    symplectic = p.structure.tag == "symplectic"
+    rng = np.random.default_rng(61)
+    basis = structure_algebra(p.structure, nm.Metric.identity(n)).sym_basis
+    xi = combine(rng.standard_normal(len(basis)), basis)
+    phi = expm(0.5 * xi / np.linalg.norm(xi))
+    G = nm.Metric(scale * phi.T @ phi)
+    compatible = nm.compatibility_residual(p.structure, G) <= TOL_COMPAT
+    assert compatible != symplectic
+    tensor = nm.act(np.linalg.inv(phi), p.tensor)
+    assert nm.certify_minimal(tensor, G, p.structure,
+                              allow_scale=symplectic).minimal
+
+
+@pytest.mark.parametrize("kind", ["symplectic", "complex", "hypercomplex"])
+def test_check_and_entry_points_share_one_compatibility_verdict(kind):
+    # G = phi^T phi + eps max|phi^T phi| S near the compatible metrics, phi
+    # the exp of a structure-algebra element of norm <= 3, S symmetric with
+    # entries in [-1, 1], eps log-uniform in [1e-11, 1e-6]; check's verdict
+    # and the strict projection's must agree on every draw
+    n = 8 if kind == "hypercomplex" else 6
+    gamma = nm.standard_structure(kind, n)
+    basis = nm.structure_group_basis(gamma, nm.Metric.identity(n))
+    rng = np.random.default_rng(67)
+    verdicts = []
+    for _ in range(1000):
+        xi = combine(rng.standard_normal(len(basis)), basis)
+        phi = scipy.linalg.expm(rng.uniform(0.0, 3.0) * xi / np.linalg.norm(xi))
+        G0 = phi.T @ phi
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        eps = 10.0 ** rng.uniform(-11.0, -6.0)
+        G = nm.Metric(G0 + eps * np.abs(G0).max() * 0.5 * (A + A.T))
+        try:
+            invariant_projection(gamma, G, np.eye(n))
+            accepted = True
+        except nm.IncompatibleMetric:
+            accepted = False
+        check = nm.compatibility_residual(gamma, G) <= TOL_COMPAT
+        assert check == accepted
+        verdicts.append(check)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_structure_algebra_dimensions():
