@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import nilmetric as nm
-from nilmetric.cli import build_parser, main
-from nilmetric.defaults import TOL_DISTINGUISH, TOL_JACOBI
+from nilmetric.cli import main
+from nilmetric.defaults import TOL_JACOBI
 from nilmetric.problemfile import jsonable
 
 
@@ -55,15 +55,10 @@ def test_catalog_get_errors(capsys):
     assert run(capsys, ["catalog", "get", "m26", "x"])[0] == 2
     assert run(capsys, ["catalog", "get", "m26", "x=a"])[0] == 2
     assert run(capsys, ["catalog", "get", "m26", "z=1"])[0] == 2
-
-
-@pytest.mark.parametrize("argv", [["m26", "x=nan"], ["m26", "y=-inf"],
-                                  ["iwasawa-curve", "t=inf"]])
-def test_catalog_get_rejects_non_finite_parameters(capsys, argv):
-    code, out, err = run(capsys, ["catalog", "get"] + argv)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "finite" in err
+    for argv in (["m26", "x=nan"], ["m26", "y=-inf"], ["iwasawa-curve", "t=inf"]):
+        assert run(capsys, ["catalog", "get"] + argv) == (
+            2, "", f"error: catalog parameter {argv[1]!r}: "
+                   f"{argv[1][2:]!r} is not a finite number\n")
 
 
 def test_catalog_to_check_to_certify_chain(capsys, tmp_path):
@@ -306,17 +301,6 @@ def test_bad_numeric_flags_exit_2(capsys, tmp_path, argv, flag):
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err
-
-
-def test_cli_defaults_come_from_the_library():
-    parser = build_parser()
-    search = parser.parse_args(["search", "F"])
-    flow = parser.parse_args(["flow", "F"])
-    cfg = nm.FlowConfig()
-    assert (flow.step, flow.horizon) == (cfg.step, cfg.horizon)
-    assert (search.tol_converge, search.max_iter) == (cfg.tol_converge,
-                                                      cfg.max_iter)
-    assert parser.parse_args(["distinguish", "F", "F"]).tol == TOL_DISTINGUISH
 
 
 def test_all_json_outputs_carry_format_header(capsys, tmp_path):
