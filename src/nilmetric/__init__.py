@@ -69,7 +69,6 @@ from .flows import (
     FlowTrace,
     SolitonReport,
     bracket_descent,
-    descent_direction,
     metric_flow,
     soliton_selfsimilarity_check,
 )

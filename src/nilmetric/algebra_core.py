@@ -91,17 +91,16 @@ def skew_basis(n: int) -> list:
     return _pair_units(n, -1.0)
 
 
-def svd_nullspace(M: np.ndarray, rtol: float = TOL_NULL) -> np.ndarray:
+def svd_nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of M.
 
-    Singular values below rtol * sigma_max are treated as zero.
+    Singular values below TOL_NULL * sigma_max are treated as zero.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] == 0 or not np.any(M):
         return np.eye(M.shape[1])
-    _, s, vt = np.linalg.svd(M)
-    cutoff = rtol * s[0] if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
+    _, s, vt = np.linalg.svd(M)  # M has a nonzero entry, so s[0] > 0
+    rank = int(np.sum(s > TOL_NULL * s[0]))
     return vt[rank:].T
 
 
@@ -477,10 +476,10 @@ def j_operator(mu: Bracket, G: Metric, Z: np.ndarray) -> np.ndarray:
     return _from_frame(j0, G)
 
 
-def htype_classify(mu: Bracket, G: Metric, samples: int = 8) -> str:
+def htype_classify(mu: Bracket, G: Metric) -> str:
     """Classify a 2-step bracket metric pair as HType, ModifiedHType or Neither.
 
-    Tests j(Z)^2 on a center basis plus random unit center vectors:
+    Tests j(Z)^2 on a center basis plus eight random unit center vectors:
     ModifiedHType needs j(Z)^2 to be a negative scalar for every tested Z,
     HType additionally needs that scalar to equal -<Z, Z>.
     """
@@ -491,7 +490,7 @@ def htype_classify(mu: Bracket, G: Metric, samples: int = 8) -> str:
         raise NotTwoStep("bracket has trivial center")
     rng = np.random.default_rng(0)
     vectors = [Q2[:, i] for i in range(Q2.shape[1])]
-    for _ in range(samples):
+    for _ in range(8):
         v = Q2 @ rng.standard_normal(Q2.shape[1])
         norm = np.linalg.norm(v)
         if norm > 1e-12:

@@ -128,27 +128,28 @@ def _validated_point(family_id: str, params: dict, tensor: SkewTensor,
                        validation=validation)
 
 
+def _finite_params(**params) -> dict:
+    """The family parameters as floats; FamilyConstraint unless finite."""
+    params = {key: float(value) for key, value in params.items()}
+    if not all(map(math.isfinite, params.values())):
+        raise FamilyConstraint(f"family parameters must be finite, got {params}")
+    return params
+
+
 def symplectic_family(a, b, c, d, e, f) -> FamilyPoint:
     """Six-parameter bracket table on dimension 6 with the standard
     symplectic form: the six slots feed mu(X1,X2) = a X3, mu(X1,X3) = b X4,
     mu(X1,X4) = c X5, mu(X1,X5) = d X6, mu(X2,X3) = e X5, mu(X2,X4) = f X6.
 
-    Nothing is assumed about the parameters; the Jacobi and closedness
-    residuals are computed and attached, never raised (the slice contains
-    non-Lie tables).
+    The parameters must be finite (FamilyConstraint otherwise); nothing
+    else is assumed.  The Jacobi and closedness residuals are computed and
+    attached, never raised (the slice contains non-Lie tables).
     """
-    entries = [
-        (1, 2, 3, float(a)),
-        (1, 3, 4, float(b)),
-        (1, 4, 5, float(c)),
-        (1, 5, 6, float(d)),
-        (2, 3, 5, float(e)),
-        (2, 4, 6, float(f)),
-    ]
-    tensor = SkewTensor.from_entries(6, entries)
+    params = _finite_params(a=a, b=b, c=c, d=d, e=e, f=f)
+    slots = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (2, 3, 5), (2, 4, 6)]
+    tensor = SkewTensor.from_entries(
+        6, [(*slot, value) for slot, value in zip(slots, params.values())])
     structure = standard_structure("symplectic", 6)
-    params = {"a": float(a), "b": float(b), "c": float(c),
-              "d": float(d), "e": float(e), "f": float(f)}
     return _validated_point("symplectic-family", params, tensor, structure)
 
 
@@ -201,8 +202,9 @@ def ellipse_points(count: int = 8) -> list:
 def complex_curve(t: float) -> FamilyPoint:
     """One-parameter curve of 2-step brackets on dimension 6, integrable
     for the standard complex structure at every t, with the scale
-    s = sqrt(2 + t^2 + (2-t)^2) making the certificate exact."""
-    t = float(t)
+    s = sqrt(2 + t^2 + (2-t)^2) making the certificate exact.  Raises
+    FamilyConstraint unless t is finite."""
+    t = _finite_params(t=t)["t"]
     s = math.sqrt(2.0 + t * t + (2.0 - t) * (2.0 - t))
     entries = [
         (1, 3, 6, -t * s),
@@ -220,11 +222,10 @@ def hypercomplex_family(r: float, s: float, t: float) -> FamilyPoint:
     for the standard hypercomplex triple at every (r, s, t).
 
     The minimality sphere r^2 + s^2 + t^2 - r - s - t = -1/2 is recorded
-    as a residual, not enforced.
+    as a residual, not enforced.  Raises FamilyConstraint unless the
+    parameters are finite.
     """
-    r = float(r)
-    s = float(s)
-    t = float(t)
+    r, s, t = _finite_params(r=r, s=s, t=t).values()
     entries = [
         (1, 2, 6, r),
         (1, 3, 7, s),

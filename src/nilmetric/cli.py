@@ -23,8 +23,9 @@ from .algebra_core import (Bracket, Metric, act, combine, expm, expm_skew,
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
 from .defaults import TOL_COMPAT, TOL_DISTINGUISH, certification_tolerance
-from .errors import NilmetricError, ParseError
-from .flows import FlowConfig, bracket_descent, metric_flow
+from .errors import FamilyConstraint, NilmetricError, ParseError
+from .flows import (MAX_ITER, TOL_CONVERGE, FlowConfig, bracket_descent,
+                    metric_flow)
 from .minimality import certify_minimal, distinguish, fingerprint
 from .problemfile import jsonable, load_problem, point_to_problem
 from .structures import (compatibility_residual, integrability_accepted,
@@ -123,7 +124,8 @@ def cmd_flow(args) -> int:
     return 0 if trace.converged else 3
 
 
-def _search_one(index: int, tensor, structure, basis, seed_seq, cfg, scale):
+def _search_one(index: int, tensor, structure, basis, seed_seq, scale,
+                settings: dict):
     rng = np.random.default_rng(seed_seq)
     if index == 0 or not basis:
         start = tensor
@@ -136,13 +138,13 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, cfg, scale):
         # lie in the structure algebra, so the product is in the group
         start = act(expm(0.5 * (xi + xi.T)) @ expm_skew(0.5 * (xi - xi.T)),
                     tensor)
-    trace = bracket_descent(start, structure, cfg)
+    trace = bracket_descent(start, structure, **settings)
     final = trace.final_state
     cert = certify_minimal(final, Metric.identity(final.dim), structure)
     return {
         "start": index,
         "converged": trace.converged,
-        "no_descent": trace.no_descent,
+        "no_descent": not trace.converged,
         "stop_reason": trace.stop_reason,
         "iterations": len(trace.samples) - 1,
         "F_final": trace.samples[-1][2],
@@ -160,10 +162,10 @@ def cmd_search(args) -> int:
         if problem.tensor.norm() > 0 else problem.tensor
     basis = structure_group_basis(problem.structure,
                                   Metric.identity(problem.dim))
-    cfg = FlowConfig(tol_converge=args.tol_converge, max_iter=args.max_iter)
+    settings = {"tol_converge": args.tol_converge, "max_iter": args.max_iter}
     children = np.random.SeedSequence(args.seed).spawn(args.starts)
     results = [_search_one(k, tensor, problem.structure, basis, children[k],
-                           cfg, args.perturbation)
+                           args.perturbation, settings)
                for k in range(args.starts)]
     best = min(results, key=lambda r: (not r["converged"], r["F_final"]))
     cert = best["_cert"]
@@ -221,7 +223,7 @@ def cmd_catalog(args) -> int:
             return 2
     try:
         point = catalog_get(args.id, params)
-    except KeyError as exc:
+    except (KeyError, FamilyConstraint) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     problem = point_to_problem(point)
@@ -301,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturbation", type=_NON_NEGATIVE, default=0.2,
                    help="size of the random structure-group perturbations")
-    p.add_argument("--tol-converge", type=_POSITIVE, default=FlowConfig.tol_converge)
-    p.add_argument("--max-iter", type=_POSITIVE_INT, default=FlowConfig.max_iter)
+    p.add_argument("--tol-converge", type=_POSITIVE, default=TOL_CONVERGE)
+    p.add_argument("--max-iter", type=_POSITIVE_INT, default=MAX_ITER)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fingerprint", help="spectral fingerprint as JSON")

@@ -29,7 +29,9 @@ stable down to direction norms at rounding level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,34 +70,40 @@ ESCAPE_FACTOR = 10.0
 MAX_HALVINGS = 40
 REGROW_AFTER = 8  # accepted steps in a row before a halved step doubles
 MAX_POLISH_ITERS = 40
+TOL_CONVERGE = 1e-8  # bracket_descent's default stop on |delta_mu(D)|
+MAX_ITER = 500  # bracket_descent's default cap on first-phase iterations
+
+
+def _require_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_count(name: str, value) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """The settings of metric_flow; max_steps caps the attempted steps."""
     step: float = 1e-3
     horizon: float = 1.0
     sign: str = "minus"
     renorm: bool = True
-    tol_converge: float = 1e-8
     integrator: str = "rk4"
-    max_iter: int = 500
+    max_steps: int = 50_000
     sample_every: int = 1
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.tol_converge <= 0:
-            raise ValueError("tol_converge must be positive")
+        _require_positive("step", self.step)
+        _require_positive("horizon", self.horizon)
         if self.sign not in ("plus", "minus"):
             raise ValueError(f"sign must be plus or minus, got {self.sign!r}")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be at least 1")
+        _require_count("max_steps", self.max_steps)
+        _require_count("sample_every", self.sample_every)
 
 
 @dataclass
@@ -103,7 +111,6 @@ class FlowTrace:
     samples: list = field(default_factory=list)
     final_state: object = None
     converged: bool = False
-    no_descent: bool = False
     states: list = field(default_factory=list)  # metric matrices at samples
     stop_reason: str = None  # see metric_flow and bracket_descent
     stats: dict = field(default_factory=dict)  # counters of the run
@@ -170,8 +177,8 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     cfg.step.  Raises StepCollapse when halving underflows,
     IncompatibleMetric when G0 is not compatible with the structure.
     Symplectic trajectories are followed in the conformal cone (the flow
-    scales the form).  The run stops at the horizon or after cfg.max_iter *
-    100 attempted steps; trace.stop_reason says which ("horizon" or
+    scales the form).  The run stops at the horizon or after cfg.max_steps
+    attempted steps; trace.stop_reason says which ("horizon" or
     "step_cap").  trace.stats counts the field evaluations, the accepted
     steps and the rejected ones by reason ("cone", "error" for a
     NilmetricError or LinAlgError, "scal_drift"), with the smallest and the
@@ -205,7 +212,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     accepted = 0
     streak = 0
     rejected = {"cone": 0, "error": 0, "scal_drift": 0}
-    while t < cfg.horizon - 1e-15 and iters < cfg.max_iter * 100:
+    while t < cfg.horizon - 1e-15 and iters < cfg.max_steps:
         iters += 1
         dt_try = min(dt, cfg.horizon - t)
         reason = None
@@ -264,17 +271,6 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     return trace
 
 
-def descent_direction(tensor: SkewTensor, gamma: Structure) -> SkewTensor:
-    """Negative gradient direction of the functional on the unit sphere:
-    -delta_mu(D) with Ric^gamma = c I + D, the tangential part of
-    -delta_mu(Ric^gamma).
-
-    The finite-difference identity dF(d / |d|) = -|d| holds at unit norm.
-    """
-    payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
-    return _certified(_evaluate(tensor, gamma, payload0))[4].scaled(-1.0)
-
-
 def _descent_sample(point: tuple, k: int) -> tuple:
     """The descent's trace row (iteration, scal, F, certificate residual);
     a name apart from the flow's _sample_row, so profiles tell them apart."""
@@ -288,8 +284,9 @@ def _move(T: SkewTensor, gen: np.ndarray, eta: float, gamma: Structure,
     return _evaluate(_unit(act(expm(eta * gen), T)), gamma, payload0)
 
 
-def bracket_descent(mu, gamma: Structure = None,
-                    cfg: FlowConfig = None) -> FlowTrace:
+def bracket_descent(mu, gamma: Structure = None, *,
+                    tol_converge: float = TOL_CONVERGE,
+                    max_iter: int = MAX_ITER) -> FlowTrace:
     """Minimize the curvature functional over the unit sphere of brackets.
 
     The moves follow the structure-group orbit of the start,
@@ -301,8 +298,9 @@ def bracket_descent(mu, gamma: Structure = None,
     coboundary delta_mu(D) per accepted bracket gives its direction, its
     stop tests and its trace row.
 
-    The trace samples are (iteration, scal, F, certificate residual).  The
-    no_descent flag reports a run that did not converge (not fatal), and
+    The run converges when the direction norm |delta_mu(D)| reaches
+    tol_converge; phase one makes at most max_iter iterations.  The trace
+    samples are (iteration, scal, F, certificate residual), and
     stop_reason says why the run stopped: "converged", "line_search" (no
     step decreased the functional), "stall" (the Gauss-Newton phase stopped
     making progress) or "iteration_cap".  trace.stats counts the
@@ -310,13 +308,14 @@ def bracket_descent(mu, gamma: Structure = None,
     "backtracks"), the Gauss-Newton iterations, rejected trials and
     Jacobians ("polish_iterations", "polish_backtracks", "jacobians"), and
     the smallest and largest rank of the truncated-SVD solves ("rank_min",
-    "rank_max", None without a solve).  Raises ZeroTensor on a zero start
-    and InvalidBracket when the start violates the integrability
-    precondition.
+    "rank_max", None without a solve).  Raises ZeroTensor on a zero start,
+    InvalidBracket when the start violates the integrability precondition
+    and ValueError unless tol_converge is positive and finite and max_iter
+    at least 1.
     """
+    _require_positive("tol_converge", tol_converge)
+    _require_count("max_iter", max_iter)
     tensor = as_tensor(mu)
-    if cfg is None:
-        cfg = FlowConfig()
     if gamma is None:
         gamma = no_structure(tensor.dim)
     tensor = _unit(tensor)
@@ -338,11 +337,11 @@ def bracket_descent(mu, gamma: Structure = None,
     best = (np.inf, point)
     polish_from = None
     stop = None  # set when phase one ends the run
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         nd = point[4].norm()
         if nd < best[0]:
             best = (nd, point)
-        if nd <= cfg.tol_converge:
+        if nd <= tol_converge:
             stop = "converged"
             break
         if nd <= POLISH_THRESHOLD:
@@ -376,13 +375,12 @@ def bracket_descent(mu, gamma: Structure = None,
         basis = np.stack(
             structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis)
         point, f_cur, k, reason = _polish(polish_from, basis, gamma, payload0,
-                                          cfg, trace, k, f_cur)
+                                          tol_converge, trace, k, f_cur)
     if stop is None:
-        stop = "converged" if point[4].norm() <= cfg.tol_converge else reason
+        stop = "converged" if point[4].norm() <= tol_converge else reason
     trace.final_state = point[0]
     trace.stop_reason = stop
     trace.converged = stop == "converged"
-    trace.no_descent = not trace.converged
     return trace
 
 
@@ -416,7 +414,7 @@ def _defect_jacobian(point: tuple, basis: np.ndarray, gamma: Structure,
 
 
 def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
-            cfg: FlowConfig, trace: FlowTrace, k: int, f_cur: float):
+            tol_converge: float, trace: FlowTrace, k: int, f_cur: float):
     """Damped Gauss-Newton on the coefficient vector of the certified
     point's defect delta_mu(D), solving for coordinates xi in the basis of
     the symmetric structure algebra with the analytic Jacobian
@@ -433,7 +431,7 @@ def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
     reason = "iteration_cap"
     for _ in range(MAX_POLISH_ITERS):
         tensor, nd = point[0], point[4].norm()
-        if nd <= cfg.tol_converge:
+        if nd <= tol_converge:
             reason = "converged"
             break
         dvec = point[4].coeffs.ravel()
@@ -491,27 +489,32 @@ def soliton_selfsimilarity_check(mu, gamma: Structure = None,
                                  G: Metric = None,
                                  cfg: FlowConfig = None) -> SolitonReport:
     """Compare the integrated normalized flow against the closed-form
-    self-similar candidate: the pullback of G0 through expm(-(t/2) D),
-    with D from the minimality certificate.  In the G0-orthonormal frame
-    D is symmetric, and the candidate is h^T expm(-t h D h^-1) h.
+    self-similar candidate: the pullback of G0 through expm((s t/2) D),
+    with D from the minimality certificate and s = +-1 per cfg.sign.  In
+    the G0-orthonormal frame D is symmetric, and the candidate is
+    h^T expm(s t h D h^-1) h.
 
-    Raises NotCertifiedError unless the certificate passes at the start.
+    Raises NotCertifiedError unless the certificate passes at the start,
+    ValueError for an unnormalized cfg (cfg.renorm False).
     """
     tensor, G, gamma = with_defaults(mu, G, gamma)
     if cfg is None:
         cfg = FlowConfig()
+    if not cfg.renorm:
+        raise ValueError("the self-similarity check needs the normalized flow")
     cert = certify_minimal(tensor, G, gamma, allow_scale=True)
     if not cert.minimal:
         raise NotCertifiedError(
             f"certificate residual {cert.residual:.3e} exceeds {cert.tolerance:.1e}"
         )
-    trace = metric_flow(mu, gamma, G, replace(cfg, renorm=True))
+    trace = metric_flow(mu, gamma, G, cfg)
+    sign = 1.0 if cfg.sign == "plus" else -1.0
     h = G.transport
     D0 = h @ cert.D @ G.transport_inv
     D0 = 0.5 * (D0 + D0.T)
     dev = 0.0
     for row, Gt in zip(trace.samples, trace.states):
-        cand = h.T @ expm(-row[0] * D0) @ h
+        cand = h.T @ expm(sign * row[0] * D0) @ h
         scale = max(float(np.abs(cand).max()), 1e-300)
         dev = max(dev, float(np.abs(Gt - cand).max()) / scale)
     return SolitonReport(max_deviation=dev, horizon=cfg.horizon,

@@ -232,11 +232,6 @@ def _abelian_parts(gamma: Structure, mu: SkewTensor) -> list:
             for J in gamma.maps()]
 
 
-def abelian_defect(gamma: Structure, mu: SkewTensor) -> np.ndarray:
-    """Stacked values of mu(J., J.) - mu over the structure's maps."""
-    return np.concatenate(_abelian_parts(gamma, mu))
-
-
 def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
     """V-norm deviation of mu from being abelian, largest over the maps;
     each i < j pair counts twice, matching the tensor inner product."""

@@ -106,9 +106,9 @@ def count_kernel_calls(monkeypatch, module: str) -> list:
 
 
 def reference_direction(tensor, gamma):
-    """Reference for descent_direction: minus the tangential part of
-    delta_mu(Ric^gamma), with the radial part taken out through the inner
-    product instead of the split Ric^gamma = c I + D."""
+    """Reference for the descent direction -delta_mu(D): minus the
+    tangential part of delta_mu(Ric^gamma), with the radial part taken out
+    through the inner product instead of the split Ric^gamma = c I + D."""
     ric_gamma = nm.invariant_ricci(tensor, nm.Metric.identity(tensor.dim),
                                    gamma, allow_scale=True)
     delta = nm.coboundary(tensor, ric_gamma)

@@ -205,7 +205,7 @@ def test_criterion_10_descent_correctness(sp6_basis):
 
     # finite-difference agreement of the descent direction at random
     # non-critical points: d/ds F(cos s T + sin s u)|0 = -|d| for the
-    # unit direction u = d/|d|
+    # unit direction u = d/|d|, d = -delta_T(D) from the certificate of T
     eps = 1e-6
     worst_fd = 0.0
     checked = 0
@@ -213,7 +213,8 @@ def test_criterion_10_descent_correctness(sp6_basis):
     while checked < 50:
         T = perturbed_m26(sp6_basis, fd_rng, scale=0.35)
         T = T.scaled(1.0 / T.norm())
-        d = nm.descent_direction(T, p.structure)
+        D = nm.certify_minimal(T, gamma=p.structure, allow_scale=True).D
+        d = nm.coboundary(T, D).scaled(-1.0)
         nd = d.norm()
         if nd < 1e-4:
             continue

@@ -18,6 +18,13 @@ def test_m26_point_requires_ellipse():
     for x, y in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)):
         with pytest.raises(nm.FamilyConstraint):
             nm.m26_point(x, y)
+    # the other constructors reject non-finite parameters the same way
+    for build, params in ((nm.complex_curve, (math.inf,)),
+                          (nm.hypercomplex_family, (math.nan, 0.5, 0.5)),
+                          (nm.symplectic_family,
+                           (math.nan, 1.0, 1.0, 1.0, 1.0, 1.0))):
+        with pytest.raises(nm.FamilyConstraint):
+            build(*params)
 
 
 def test_ellipse_points_on_constraint():

@@ -55,6 +55,10 @@ def test_catalog_get_errors(capsys):
     assert run(capsys, ["catalog", "get", "m26", "x"])[0] == 2
     assert run(capsys, ["catalog", "get", "m26", "x=a"])[0] == 2
     assert run(capsys, ["catalog", "get", "m26", "z=1"])[0] == 2
+    # finite but off the ellipse: a bad request too
+    code, out, err = run(capsys, ["catalog", "get", "m26", "x=2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: (x, y) must satisfy")
     for argv in (["m26", "x=nan"], ["m26", "y=-inf"], ["iwasawa-curve", "t=inf"]):
         assert run(capsys, ["catalog", "get"] + argv) == (
             2, "", f"error: catalog parameter {argv[1]!r}: "

@@ -14,6 +14,12 @@ from nilmetric.flows import _certified, _defect_jacobian, _evaluate
 from nilmetric.structures import _transported_payload
 
 
+def minus_coboundary_of_D(T, gamma):
+    """The descent direction -delta_T(D), D from the certificate of T."""
+    D = nm.certify_minimal(T, gamma=gamma, allow_scale=True).D
+    return nm.coboundary(T, D).scaled(-1.0)
+
+
 def test_zero_bracket_flow_is_stationary():
     trace = nm.metric_flow(nm.SkewTensor.zero(3), nm.no_structure(3),
                            nm.Metric.identity(3),
@@ -23,18 +29,29 @@ def test_zero_bracket_flow_is_stationary():
 
 
 def test_flow_config_validation():
+    # a NaN step fails every attempt as an "error" until the step cap, an
+    # infinite one drifts scal on every attempt and never collapses, and
+    # sample_every=1.5 would sample every third step
+    for settings in ({"step": -1e-3}, {"step": np.nan}, {"step": np.inf},
+                     {"horizon": 0.0}, {"horizon": np.nan},
+                     {"horizon": np.inf}, {"sign": "down"},
+                     {"integrator": "rk5"}, {"sample_every": 0},
+                     {"sample_every": 1.5}, {"max_steps": 0},
+                     {"max_steps": np.nan}):
+        with pytest.raises(ValueError):
+            nm.FlowConfig(**settings)
+    # the descent's own settings: no norm is <= NaN, so a NaN tolerance
+    # would end even the exact m26 minimum by line_search
+    p = nm.m26_point(1.0, 0.0)
+    for settings in ({"tol_converge": -1.0}, {"tol_converge": np.nan},
+                     {"tol_converge": np.inf}, {"max_iter": 0},
+                     {"max_iter": 2.5}):
+        with pytest.raises(ValueError):
+            nm.bracket_descent(p.tensor, p.structure, **settings)
+    # the self-similarity check compares against the normalized flow only
     with pytest.raises(ValueError):
-        nm.FlowConfig(step=-1e-3)
-    with pytest.raises(ValueError):
-        nm.FlowConfig(horizon=0.0)
-    with pytest.raises(ValueError):
-        nm.FlowConfig(sign="down")
-    with pytest.raises(ValueError):
-        nm.FlowConfig(integrator="rk5")
-    with pytest.raises(ValueError):
-        nm.FlowConfig(sample_every=0)
-    with pytest.raises(ValueError):
-        nm.FlowConfig(tol_converge=-1.0)
+        nm.soliton_selfsimilarity_check(p.tensor, gamma=p.structure,
+                                        cfg=nm.FlowConfig(renorm=False))
 
 
 def test_normalized_flow_freezes_scalar_curvature():
@@ -62,7 +79,7 @@ def test_flow_rejects_incompatible_start():
 
 def test_flow_step_collapse_on_huge_step():
     t = nm.heisenberg().tensor
-    cfg = nm.FlowConfig(step=1e12, horizon=1e13, max_iter=5)
+    cfg = nm.FlowConfig(step=1e12, horizon=1e13, max_steps=500)
     with pytest.raises(nm.StepCollapse):
         nm.metric_flow(t, nm.no_structure(3), nm.Metric.identity(3), cfg)
 
@@ -92,19 +109,24 @@ def test_sample_every_thins_trace():
 
 
 def test_soliton_selfsimilarity_heisenberg():
-    rep = nm.soliton_selfsimilarity_check(
-        nm.heisenberg().tensor,
-        cfg=nm.FlowConfig(step=1e-2, horizon=1.0, sample_every=10))
-    assert rep.max_deviation <= 1e-6
-    assert rep.certificate.minimal
+    # the backward flow (sign plus) follows expm(+t D)
+    for sign in ("minus", "plus"):
+        rep = nm.soliton_selfsimilarity_check(
+            nm.heisenberg().tensor,
+            cfg=nm.FlowConfig(step=1e-2, horizon=1.0, sample_every=10,
+                              sign=sign))
+        assert rep.max_deviation <= 1e-6
+        assert rep.certificate.minimal
 
 
 def test_soliton_selfsimilarity_m26():
     p = nm.m26_point(1.0, 0.0)
-    rep = nm.soliton_selfsimilarity_check(
-        p.tensor, gamma=p.structure,
-        cfg=nm.FlowConfig(step=1e-2, horizon=1.0, sample_every=10))
-    assert rep.max_deviation <= 1e-6
+    for sign in ("minus", "plus"):
+        rep = nm.soliton_selfsimilarity_check(
+            p.tensor, gamma=p.structure,
+            cfg=nm.FlowConfig(step=1e-2, horizon=1.0, sample_every=10,
+                              sign=sign))
+        assert rep.max_deviation <= 1e-6
 
 
 def test_soliton_check_requires_certificate():
@@ -162,7 +184,7 @@ def test_descent_direction_is_sphere_gradient(sp6_basis):
     for _ in range(6):
         T = perturbed_m26(sp6_basis, rng, scale=0.35)
         T = T.scaled(1.0 / T.norm())
-        d = nm.descent_direction(T, gamma)
+        d = minus_coboundary_of_D(T, gamma)
         nd = d.norm()
         if nd < 1e-4:
             continue
@@ -193,7 +215,7 @@ def test_descent_direction_is_minus_coboundary_of_D(name):
         xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
         T = nm.act(expm(0.3 * xi / np.linalg.norm(xi)), p.tensor)
         T = T.scaled(1.0 / T.norm())
-        got = nm.descent_direction(T, p.structure)
+        got = minus_coboundary_of_D(T, p.structure)
         want = reference_direction(T, p.structure)
         assert got.plus(want, -1.0).norm() <= 1e-12
 
@@ -240,7 +262,7 @@ def test_converged_descent_limit_is_flow_fixed_point():
 
 def test_flow_step_cap_reports_stop_reason():
     t = nm.heisenberg().tensor
-    cfg = nm.FlowConfig(step=1e-3, horizon=100, max_iter=5)
+    cfg = nm.FlowConfig(step=1e-3, horizon=100, max_steps=500)
     trace = nm.metric_flow(t, nm.no_structure(3), nm.Metric.identity(3), cfg)
     assert not trace.converged
     assert trace.stop_reason == "step_cap"
@@ -451,10 +473,9 @@ def test_defect_jacobian_matches_finite_differences(name, structured):
 def test_descent_stop_reasons(sp6_basis):
     gamma = nm.m26_point(1.0, 0.0).structure
     start = perturbed_m26(sp6_basis, np.random.default_rng(501), scale=0.3)
-    capped = nm.bracket_descent(start, gamma=gamma,
-                                cfg=nm.FlowConfig(max_iter=1))
+    capped = nm.bracket_descent(start, gamma=gamma, max_iter=1)
     assert capped.stop_reason == "iteration_cap"
-    assert capped.no_descent and not capped.converged
+    assert not capped.converged
     # iwasawa-curve descents from criterion-10 perturbations converge,
     # stall or fail a line search; the reason is "converged" exactly when
     # the run converged
@@ -468,7 +489,6 @@ def test_descent_stop_reasons(sp6_basis):
         assert trace.stop_reason in ("converged", "line_search", "stall",
                                      "iteration_cap")
         assert (trace.stop_reason == "converged") == trace.converged
-        assert trace.no_descent == (not trace.converged)
 
 
 @pytest.mark.parametrize("preset", ["m26", "iwasawa-curve"])
