@@ -18,12 +18,12 @@ Conventions used throughout the package:
   congruence ``ginv^T T ginv``, the hot path of the metric flow.
 - ``coboundary(mu, A)`` is delta_mu(A) = A mu(., .) - mu(A., .) - mu(., A.),
   so delta_mu(I) = -mu.
-- General metrics are handled by Cholesky transport: with G = L L^T and
-  h = L^T, the bracket is moved once into the G-orthonormal frame
-  (``_transported``, act(h, mu)), where the metric is the identity.  All
-  curvature is computed there by one kernel (``curvature.frame_curvature``),
-  and an operator is conjugated back at most once (``_from_frame``,
-  h^-1 A h).
+- A metric is handled by Cholesky transport: with G = L L^T and h = L^T,
+  the bracket is moved once into the G-orthonormal frame, act(h, mu),
+  where the metric is the identity.  All curvature is computed there by
+  one kernel (``curvature.frame_curvature``).  Operators move by
+  ``_to_frame`` (h A h^-1) and back by ``_from_frame`` (h^-1 A h).  The
+  identity metric takes the same path: act(I, .) and I A I are exact.
 """
 
 from __future__ import annotations
@@ -289,16 +289,6 @@ def expm(S: np.ndarray) -> np.ndarray:
     return (V * np.exp(w)) @ V.T
 
 
-def expm_skew(K: np.ndarray) -> np.ndarray:
-    """Orthogonal exp(K) for antisymmetric K, by eigh of the Hermitian iK;
-    ValueError unless K is antisymmetric to 1e-12 relative."""
-    K = np.asarray(K, dtype=float)
-    if np.abs(K + K.T).max() > 1e-12 * np.abs(K).max():
-        raise ValueError("expm_skew needs an antisymmetric generator")
-    w, V = np.linalg.eigh(1j * K)
-    return ((V * np.exp(-1j * w)) @ V.conj().T).real
-
-
 class Metric:
     """Left-invariant inner product <X, Y> = X^T G Y, G symmetric positive
     definite.  Caches the Cholesky transport h = L^T with G = L L^T."""
@@ -328,9 +318,6 @@ class Metric:
     @classmethod
     def identity(cls, n: int) -> "Metric":
         return cls(np.eye(n))
-
-    def is_identity(self) -> bool:
-        return bool(np.abs(self.matrix - np.eye(self.dim)).max() < 1e-14)
 
     def __repr__(self):
         return f"Metric(dim={self.dim})"
@@ -432,14 +419,14 @@ def symmetric_derivation_basis(mu) -> list:
     return out
 
 
-def _transported(mu: SkewTensor, G: Metric) -> SkewTensor:
-    """The tensor in the G-orthonormal frame, act(h, mu) with G = h^T h."""
-    return mu if G.is_identity() else act(G.transport, mu)
+def _to_frame(A: np.ndarray, G: Metric) -> np.ndarray:
+    """An operator of the original frame in the G-orthonormal frame, h A h^-1."""
+    return G.transport @ A @ G.transport_inv
 
 
 def _from_frame(A: np.ndarray, G: Metric) -> np.ndarray:
     """An operator of the G-orthonormal frame in the original frame, h^-1 A h."""
-    return A if G.is_identity() else G.transport_inv @ A @ G.transport
+    return G.transport_inv @ A @ G.transport
 
 
 def _center_split(T0: np.ndarray):
@@ -470,7 +457,7 @@ def j_operator(mu: Bracket, G: Metric, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (mu.dim,):
         raise DimensionMismatch(f"center vector shape {Z.shape}")
-    T0 = _transported(mu.tensor, G).full()
+    T0 = act(G.transport, mu.tensor).full()
     _require_two_step(T0)
     j0 = np.einsum("bak,k->ab", T0, G.transport @ Z)
     return _from_frame(j0, G)
@@ -483,7 +470,7 @@ def htype_classify(mu: Bracket, G: Metric) -> str:
     ModifiedHType needs j(Z)^2 to be a negative scalar for every tested Z,
     HType additionally needs that scalar to equal -<Z, Z>.
     """
-    T0 = _transported(mu.tensor, G).full()
+    T0 = act(G.transport, mu.tensor).full()
     _require_two_step(T0)
     Q1, Q2 = _center_split(T0)
     if Q2.shape[1] == 0:

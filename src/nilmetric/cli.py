@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra_core import (Bracket, Metric, act, combine, expm, expm_skew,
+from .algebra_core import (Bracket, Metric, act, combine, expm,
                            jacobi_accepted, jacobi_residual, lower_central_dims)
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
@@ -134,10 +134,9 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, scale,
         norm = np.linalg.norm(xi)
         if norm > 0:
             xi = (scale / norm) * xi
-        # exp(S) exp(K) with S, K the symmetric and skew parts of xi: both
-        # lie in the structure algebra, so the product is in the group
-        start = act(expm(0.5 * (xi + xi.T)) @ expm_skew(0.5 * (xi - xi.T)),
-                    tensor)
+        # exp(S), S the symmetric part of xi, lies in the structure group;
+        # the skew part would add only an isometry, which F does not see
+        start = act(expm(0.5 * (xi + xi.T)), tensor)
     trace = bracket_descent(start, structure, **settings)
     final = trace.final_state
     cert = certify_minimal(final, Metric.identity(final.dim), structure)

@@ -4,9 +4,10 @@ and the normalized curvature functional on brackets.
 All curvature comes from one kernel, ``frame_curvature``: given a bracket
 and the structure payload in an orthonormal frame, it returns the
 symmetric Ric and Ric^gamma with |mu|^2.  Each entry point for a metric G
-transports the bracket once into the G-orthonormal frame, calls the
-kernel, and conjugates an operator back at most once, so operators in the
-original frame are G-self-adjoint rather than plain-symmetric.
+(the identity by default) starts with ``_frame_data``, which transports
+the bracket once into the G-orthonormal frame and calls the kernel; an
+operator is conjugated back at most once, so operators in the original
+frame are G-self-adjoint rather than plain-symmetric.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Metric, SkewTensor, _from_frame, _transported, as_tensor
+from .algebra_core import Metric, SkewTensor, _from_frame, act, as_tensor
 from .errors import DimensionMismatch, ZeroTensor
 from .structures import (
     Structure,
@@ -54,26 +55,27 @@ def frame_curvature(mu0: SkewTensor, gamma: Structure, payload0) -> tuple:
     return ric, 0.5 * (ric_gamma + ric_gamma.T), mu0.norm2()
 
 
-def _frame_data(mu, G: Metric, gamma: Structure, allow_scale: bool = False):
-    """(mu0, Ric, Ric^gamma, |mu|^2) in the G-orthonormal frame."""
-    mu0 = _transported(as_tensor(mu), G)
-    return (mu0,) + frame_curvature(
+def _frame_data(mu, G: Metric = None, gamma: Structure = None,
+                allow_scale: bool = False) -> tuple:
+    """(G, mu0, Ric, Ric^gamma, |mu|^2) in the G-orthonormal frame, with the
+    identity metric and no structure as defaults: every entry point's
+    prologue."""
+    tensor, G, gamma = with_defaults(mu, G, gamma)
+    mu0 = act(G.transport, tensor)
+    return (G, mu0) + frame_curvature(
         mu0, gamma, _transported_payload(gamma, G, allow_scale))
 
 
 def ricci_operator(mu, G: Metric = None) -> np.ndarray:
     """Ricci operator of (mu, G); G-self-adjoint, symmetric when G = I."""
-    tensor, G, gamma = with_defaults(mu, G)
-    _, ric, _, _ = _frame_data(tensor, G, gamma)
+    G, _, ric, _, _ = _frame_data(mu, G)
     return _from_frame(ric, G)
 
 
 def scalar_curvature(mu, G: Metric = None) -> float:
-    """Scalar curvature; equals -1/4 |mu|^2 exactly at the identity metric."""
+    """Scalar curvature, -1/4 |mu|^2 in the G-orthonormal frame."""
     tensor = as_tensor(mu)
-    if G is None:
-        return -0.25 * tensor.norm2()
-    return -0.25 * _transported(tensor, G).norm2()
+    return -0.25 * (tensor if G is None else act(G.transport, tensor)).norm2()
 
 
 def moment_map(mu) -> np.ndarray:
@@ -84,7 +86,7 @@ def moment_map(mu) -> np.ndarray:
     return 4.0 * (ric + ric.T)
 
 
-def invariant_ricci(mu, G: Metric, gamma: Structure,
+def invariant_ricci(mu, G: Metric = None, gamma: Structure = None,
                     allow_scale: bool = False) -> np.ndarray:
     """Projection of the Ricci operator onto the symmetric structure algebra.
 
@@ -92,7 +94,7 @@ def invariant_ricci(mu, G: Metric, gamma: Structure,
     symplectic metrics compatible only up to a positive factor (see
     invariant_projection).
     """
-    _, _, ric_gamma, _ = _frame_data(mu, G, gamma, allow_scale)
+    G, _, _, ric_gamma, _ = _frame_data(mu, G, gamma, allow_scale)
     return _from_frame(ric_gamma, G)
 
 
@@ -121,12 +123,9 @@ def functional_F(mu, gamma: Structure = None, G: Metric = None,
     Evaluated at the identity metric by default; a metric argument
     evaluates the same quantity for the transported bracket.
     """
-    tensor, G, gamma = with_defaults(mu, G, gamma)
-    mu0 = _transported(tensor, G)
-    if mu0.norm2() == 0.0:
+    _, _, _, ric_gamma, norm2 = _frame_data(mu, G, gamma, allow_scale)
+    if norm2 == 0.0:
         raise ZeroTensor("the functional is undefined at mu = 0")
-    _, ric_gamma, norm2 = frame_curvature(
-        mu0, gamma, _transported_payload(gamma, G, allow_scale))
     return F_of_ricci(ric_gamma, norm2)
 
 
@@ -149,13 +148,12 @@ def curvature_report(mu, G: Metric = None, gamma: Structure = None,
     ascending.  The moment field is always the identity-metric moment map
     of the raw tensor.  F_value is 0 for the zero tensor.
     """
-    tensor, G, gamma = with_defaults(mu, G, gamma)
-    _, ric0, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
+    G, _, ric0, ric_gamma0, norm2 = _frame_data(mu, G, gamma, allow_scale)
     return CurvatureReport(
         ric=_from_frame(ric0, G),
         scal=-0.25 * norm2,
         ric_gamma=_from_frame(ric_gamma0, G),
-        moment=moment_map(tensor),
+        moment=moment_map(mu),
         F_value=F_of_ricci(ric_gamma0, norm2),
         eigen_ric=[float(x) for x in np.linalg.eigvalsh(ric0)],
         eigen_ric_gamma=[float(x) for x in np.linalg.eigvalsh(ric_gamma0)],

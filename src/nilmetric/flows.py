@@ -40,6 +40,7 @@ from .algebra_core import (
     SkewTensor,
     _coboundary_rows,
     _full_array,
+    _to_frame,
     act,
     as_tensor,
     combine,
@@ -330,9 +331,8 @@ def bracket_descent(mu, gamma: Structure = None, *,
     stats = trace.stats = {"iterations": 0, "backtracks": 0,
                            "polish_iterations": 0, "polish_backtracks": 0,
                            "jacobians": 0, "rank_min": None, "rank_max": None}
-    k = 0
     point = _certified(_evaluate(tensor, gamma, payload0))
-    trace.samples.append(_descent_sample(point, k))
+    trace.samples.append(_descent_sample(point, 0))
     f_cur = trace.samples[-1][2]
     best = (np.inf, point)
     polish_from = None
@@ -364,9 +364,8 @@ def bracket_descent(mu, gamma: Structure = None, *,
             stop = "line_search"
             break
         point, f_cur = _certified(accepted[0]), accepted[1]
-        k += 1
         stats["iterations"] += 1
-        trace.samples.append(_descent_sample(point, k))
+        trace.samples.append(_descent_sample(point, len(trace.samples)))
     else:
         if best[0] < 1e-2:
             polish_from = best[1]
@@ -374,8 +373,8 @@ def bracket_descent(mu, gamma: Structure = None, *,
     if polish_from is not None:
         basis = np.stack(
             structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis)
-        point, f_cur, k, reason = _polish(polish_from, basis, gamma, payload0,
-                                          tol_converge, trace, k, f_cur)
+        point, reason = _polish(polish_from, basis, gamma, payload0,
+                                tol_converge, trace, f_cur)
     if stop is None:
         stop = "converged" if point[4].norm() <= tol_converge else reason
     trace.final_state = point[0]
@@ -414,15 +413,15 @@ def _defect_jacobian(point: tuple, basis: np.ndarray, gamma: Structure,
 
 
 def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
-            tol_converge: float, trace: FlowTrace, k: int, f_cur: float):
+            tol_converge: float, trace: FlowTrace, f_cur: float):
     """Damped Gauss-Newton on the coefficient vector of the certified
     point's defect delta_mu(D), solving for coordinates xi in the basis of
     the symmetric structure algebra with the analytic Jacobian
     (_defect_jacobian); a trial is _move(T, combine(xi, basis), alpha).
 
     Steps are accepted when the direction norm drops and the functional
-    does not increase beyond rounding; counts go to trace.stats.  Returns
-    the last point, F, iteration count and the reason the iteration
+    does not increase beyond rounding; rows go to trace.samples and counts
+    to trace.stats.  Returns the last point and the reason the iteration
     stopped.
     """
     stats = trace.stats
@@ -466,16 +465,15 @@ def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
             break
         stalls = stalls + 1 if accepted[4].norm() > 0.99 * nd else 0
         point, f_cur = accepted, min(f_cur, f_new)
-        k += 1
         stats["polish_iterations"] += 1
-        trace.samples.append(_descent_sample(point, k))
+        trace.samples.append(_descent_sample(point, len(trace.samples)))
         if stalls >= 3:
             reason = "stall"
             break
     stats["jacobians"] = len(ranks)
     if ranks:
         stats["rank_min"], stats["rank_max"] = min(ranks), max(ranks)
-    return point, f_cur, k, reason
+    return point, reason
 
 
 @dataclass(frozen=True)
@@ -510,7 +508,7 @@ def soliton_selfsimilarity_check(mu, gamma: Structure = None,
     trace = metric_flow(mu, gamma, G, cfg)
     sign = 1.0 if cfg.sign == "plus" else -1.0
     h = G.transport
-    D0 = h @ cert.D @ G.transport_inv
+    D0 = _to_frame(cert.D, G)
     D0 = 0.5 * (D0 + D0.T)
     dev = 0.0
     for row, Gt in zip(trace.samples, trace.states):

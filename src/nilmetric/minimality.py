@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra_core import (Bracket, Metric, SkewTensor, _center_split,
-                           _from_frame, _require_two_step, coboundary)
+                           _from_frame, _require_two_step, as_tensor,
+                           coboundary)
 from .curvature import _frame_data, curvature_report, soliton_split
 from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import (
@@ -32,7 +33,6 @@ from .structures import (
     Structure,
     integrability_accepted,
     integrability_residual,
-    with_defaults,
 )
 
 MINIMAL = "Minimal"
@@ -94,10 +94,9 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     tolerance defaults to the package certification default, overridable
     per call or through the NILMETRIC_TOL environment variable.
     """
-    tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:  # read first: a bad NILMETRIC_TOL is reported first
         tol = certification_tolerance()
-    mu0, _, ric_gamma0, norm2 = _frame_data(tensor, G, gamma, allow_scale)
+    G, mu0, _, ric_gamma0, norm2 = _frame_data(mu, G, gamma, allow_scale)
     c, D0, residual, _ = frame_certificate(mu0, ric_gamma0, norm2)
     return _certificate(c, D0, residual, G, tol)
 
@@ -112,10 +111,9 @@ def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
     NotApplicable when the bracket is not 2-step or the blocks are not
     scalar; the result agrees with certify_minimal whenever it applies.
     """
-    tensor, G, gamma = with_defaults(mu, G, gamma)
     if tol is None:
         tol = certification_tolerance()
-    mu0, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
+    G, mu0, _, ric_gamma0, _ = _frame_data(mu, G, gamma)
     T0 = mu0.full()
     try:
         _require_two_step(T0)
@@ -160,15 +158,15 @@ def hermitian_obstruction(mu, G: Metric = None,
     Returns Abelian for the zero bracket; raises NotClosed when the form
     is not closed for the bracket.
     """
-    tensor, G, _ = with_defaults(mu, G)
     if gamma is None or gamma.tag != SYMPLECTIC:
         raise WrongTag("the obstruction is specific to symplectic structures")
+    tensor = as_tensor(mu)
     if tensor.norm2() == 0.0:
         return ObstructionReport(status=ABELIAN, obstruction_norm=0.0)
     closed = integrability_residual(gamma, tensor)
     if not integrability_accepted(closed, tensor):
         raise NotClosed(f"form is not closed (residual {closed:.3e})")
-    _, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
+    _, _, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
     return ObstructionReport(
         status=OBSTRUCTED,
         obstruction_norm=float(np.linalg.norm(ric_gamma0)),

@@ -209,7 +209,8 @@ def bracket_records(tensor: SkewTensor) -> list:
 
 def export_problem(tensor: SkewTensor, structure: Structure = None,
                    metric: Metric = None, options: dict = None) -> dict:
-    """Problem dictionary reproducing the inputs bit-exactly on re-parse."""
+    """Problem dictionary reproducing the inputs bit-exactly on re-parse;
+    the metric is omitted only when it equals the identity exactly."""
     n = tensor.dim
     out = {"format": FORMAT_VERSION, "dim": n,
            "bracket": bracket_records(tensor)}
@@ -218,7 +219,7 @@ def export_problem(tensor: SkewTensor, structure: Structure = None,
                             "payload": jsonable(structure.payload)}
     else:
         out["structure"] = {"class": "none"}
-    if metric is not None and not metric.is_identity():
+    if metric is not None and not np.array_equal(metric.matrix, np.eye(n)):
         out["metric"] = jsonable(metric.matrix)
     if options:
         out["options"] = jsonable(options)

@@ -31,6 +31,7 @@ from .algebra_core import (
     Metric,
     SkewTensor,
     _from_frame,
+    _to_frame,
     as_tensor,
     combine,
     pair_index,
@@ -147,11 +148,11 @@ def _frame_maps(gamma: Structure, G: Metric, allow_scale: bool = False) -> tuple
     if gamma.dim != G.dim:
         raise DimensionMismatch(f"structure dim {gamma.dim} vs metric dim {G.dim}")
     n = gamma.dim
-    h, hinv = G.transport, G.transport_inv
+    hinv = G.transport_inv
     if gamma.tag == SYMPLECTIC:
         frame = (hinv.T @ gamma.payload @ hinv,)
     else:
-        frame = tuple(h @ J @ hinv for J in gamma.maps())
+        frame = tuple(_to_frame(J, G) for J in gamma.maps())
     maps, residuals = [], []
     for M in frame:
         MtM = M.T @ M
@@ -308,7 +309,7 @@ def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
     if S.shape != (n, n):
         raise DimensionMismatch(f"operator shape {S.shape} vs dim {n}")
     payload0 = _transported_payload(gamma, G, allow_scale)
-    S0 = G.transport @ S @ G.transport_inv
+    S0 = _to_frame(S, G)
     P0 = _frame_projection(gamma, payload0, 0.5 * (S0 + S0.T))
     return _from_frame(0.5 * (P0 + P0.T), G)
 

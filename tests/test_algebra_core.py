@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilmetric as nm
-from nilmetric.algebra_core import (combine, expm, expm_skew, pair_index,
+from nilmetric.algebra_core import (combine, expm, pair_index,
                                     svd_nullspace, sym_basis, skew_basis,
                                     triple_index)
 
@@ -349,6 +349,17 @@ def test_j_operator_center_invertibility():
     assert abs(np.linalg.det(JJ[:4, :4])) > 1e-6
 
 
+def test_wrong_size_identity_metric_is_rejected():
+    # the identity metric takes the general frame path, with its size check
+    b = nm.Bracket(nm.heisenberg().tensor)
+    with pytest.raises(nm.DimensionMismatch):
+        nm.scalar_curvature(b, nm.Metric.identity(4))
+    with pytest.raises(nm.DimensionMismatch):
+        nm.htype_classify(b, nm.Metric.identity(5))
+    with pytest.raises(nm.DimensionMismatch):
+        nm.j_operator(b, nm.Metric.identity(5), np.array([0.0, 0.0, 1.0]))
+
+
 def test_htype_classification_goldens():
     I3 = nm.Metric.identity(3)
     I6 = nm.Metric.identity(6)
@@ -379,26 +390,10 @@ def test_expm_matches_scipy_on_symmetric_generators():
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_expm_skew_is_orthogonal_and_matches_scipy():
-    from scipy.linalg import expm as scipy_expm
-
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        A = rng.standard_normal((6, 6))
-        K = 0.5 * (A - A.T)
-        Q = expm_skew(K)
-        assert np.abs(Q.T @ Q - np.eye(6)).max() < 1e-13
-        assert np.abs(Q - scipy_expm(K)).max() < 1e-13
-
-
 def test_exponentials_reject_wrong_symmetry():
     A = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ValueError):
         expm(A)
-    with pytest.raises(ValueError):
-        expm_skew(A)
-    with pytest.raises(ValueError):
-        expm_skew(A + A.T)
 
 
 def test_combine_equals_repeated_plus():

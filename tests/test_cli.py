@@ -154,6 +154,20 @@ def test_certify_tolerance_from_env(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["tolerance"] == pytest.approx(1e3)
 
 
+def test_certify_tolerance_precedence(capsys, tmp_path, monkeypatch):
+    # --tol beats options.tol, which beats NILMETRIC_TOL
+    p = nm.m26_point(1.0, 0.0)
+    path = write_problem(tmp_path, "m26.json", p.tensor, p.structure,
+                         options={"tol": 1e-3})
+    monkeypatch.setenv("NILMETRIC_TOL", "1e-5")
+    code, out, _ = run(capsys, ["certify", path])
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-3
+    code, out, _ = run(capsys, ["certify", path, "--tol", "1e-9"])
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-9
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
 def test_malformed_tolerance_env_is_an_error(capsys, tmp_path, monkeypatch,
                                              raw):

@@ -178,6 +178,9 @@ def test_invariant_ricci_none_structure_is_ricci():
     t = nm.heisenberg().tensor
     R1 = nm.invariant_ricci(t, nm.Metric.identity(3), nm.no_structure(3))
     assert np.abs(R1 - nm.ricci_operator(t)).max() < TOL
+    # the metric and the structure default to the identity and none
+    assert np.array_equal(nm.invariant_ricci(t), R1)
+    assert np.array_equal(nm.invariant_ricci(t, None, nm.no_structure(3)), R1)
 
 
 def test_curvature_report_calls_kernel_once(monkeypatch):

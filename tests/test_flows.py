@@ -70,6 +70,20 @@ def test_unnormalized_flow_moves_scalar_curvature():
     assert abs(scals[-1] - scals[0]) > 1e-3 * abs(scals[0])
 
 
+@pytest.mark.parametrize("integrator, bound", [("rk4", 1e-12), ("euler", 1e-3)])
+def test_unnormalized_heisenberg_flow_closed_form(integrator, bound):
+    # the forward flow keeps G = diag(a, a, c) with c / a^2 = 1 / (1 + 3t/2);
+    # the bounds follow each integrator's order at step 1e-3
+    cfg = nm.FlowConfig(step=1e-3, horizon=0.5, renorm=False,
+                        integrator=integrator)
+    trace = nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
+                           nm.Metric.identity(3), cfg)
+    G = trace.final_state.matrix
+    want = 1.0 / (1.0 + 1.5 * 0.5)
+    assert trace.stop_reason == "horizon"
+    assert abs(G[2, 2] / G[0, 0] ** 2 - want) < bound * want
+
+
 def test_flow_rejects_incompatible_start():
     p = nm.complex_curve(1.0)
     G = nm.Metric(np.diag([1.0, 2, 1, 1, 1, 1]))

@@ -157,6 +157,13 @@ def test_export_omits_identity_metric():
                               nm.Metric(np.diag([1.0, 1.0, 2.0])))
     assert data2["metric"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                [0.0, 0.0, 2.0]]
+    # only the exact identity is omitted: a metric within rounding of it
+    # round-trips bit-exactly
+    M = np.eye(3)
+    M[0, 1] = M[1, 0] = 4e-15
+    data3 = nm.export_problem(p.tensor, p.structure, nm.Metric(M))
+    prob = nm.parse_problem(json.loads(json.dumps(data3)))
+    assert np.array_equal(prob.metric.matrix, M)
 
 
 def test_export_hypercomplex_payload_round_trip():

@@ -1,5 +1,7 @@
 """Geometric structures, compatibility, integrability and projections."""
 
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -330,6 +332,20 @@ def test_integrable_subspace_dimensions():
     assert nm.integrable_subspace_dim(gamma, "two_step", n1=4, n2=4) == 16
     assert nm.integrable_subspace_dim(gamma, "two_step", n1=4, n2=4,
                                       abelian=True) == 12
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_integrable_subspace_full_ambient_closed_forms(n):
+    # all of V, n C(n,2); closedness cuts one condition per triple; for a
+    # complex J, n = 2m, the Nijenhuis tensor ranges over the (0,2)-forms
+    # with (1,0)-values, of real dimension 2m C(m,2)
+    m = n // 2
+    full = n * comb(n, 2)
+    assert nm.integrable_subspace_dim(nm.no_structure(n)) == full
+    assert nm.integrable_subspace_dim(
+        nm.standard_structure("symplectic", n)) == full - comb(n, 3)
+    assert nm.integrable_subspace_dim(
+        nm.standard_structure("complex", n)) == full - 2 * m * comb(m, 2)
 
 
 def test_integrable_subspace_split_mismatch():
