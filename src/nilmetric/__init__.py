@@ -11,9 +11,7 @@ from .algebra_core import (
     coboundary,
     coboundary_matrix,
     derivation_basis,
-    htype_classify,
     inner,
-    j_operator,
     jacobi_residual,
     lower_central_dims,
     symmetric_derivation_basis,
@@ -51,12 +49,10 @@ from .errors import (
     InvalidBracket,
     InvalidStructure,
     NilmetricError,
-    NotApplicable,
     NotCertifiedError,
     NotClosed,
     NotNilpotent,
     NotPositiveDefinite,
-    NotTwoStep,
     ParseError,
     SingularMap,
     SplitMismatch,
@@ -80,7 +76,6 @@ from .minimality import (
     distinguish,
     fingerprint,
     hermitian_obstruction,
-    two_step_shortcut,
 )
 from .problemfile import (
     ProblemFile,

@@ -40,7 +40,6 @@ from .errors import (
     InvalidBracket,
     NotNilpotent,
     NotPositiveDefinite,
-    NotTwoStep,
     SingularMap,
 )
 
@@ -428,74 +427,3 @@ def _from_frame(A: np.ndarray, G: Metric) -> np.ndarray:
     """An operator of the G-orthonormal frame in the original frame, h^-1 A h."""
     return G.transport_inv @ A @ G.transport
 
-
-def _center_split(T0: np.ndarray):
-    """Orthonormal bases (Q1, Q2) with Q2 spanning the center, identity frame."""
-    n = T0.shape[0]
-    M = T0.transpose(0, 2, 1).reshape(n * n, n)
-    Q2 = svd_nullspace(M)
-    Q1 = svd_nullspace(Q2.T) if Q2.shape[1] else np.eye(n)
-    return Q1, Q2
-
-
-def _require_two_step(T0: np.ndarray):
-    scale = np.abs(T0).max()
-    if scale == 0.0:
-        raise NotTwoStep("abelian bracket has a degenerate center split")
-    nested = np.einsum("ijl,lkm->ijkm", T0, T0)
-    if np.abs(nested).max() > 1e-10 * scale * scale:
-        raise NotTwoStep("bracket is not 2-step nilpotent")
-
-
-def j_operator(mu: Bracket, G: Metric, Z: np.ndarray) -> np.ndarray:
-    """Skew map j(Z) with <j(Z) X, Y> = <mu(X, Y), Z>, for 2-step brackets.
-
-    Returns the full n x n matrix, which vanishes on the center block; its
-    restriction to the orthogonal complement of the center is the operator.
-    Computed in the G-orthonormal frame and conjugated back.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (mu.dim,):
-        raise DimensionMismatch(f"center vector shape {Z.shape}")
-    T0 = act(G.transport, mu.tensor).full()
-    _require_two_step(T0)
-    j0 = np.einsum("bak,k->ab", T0, G.transport @ Z)
-    return _from_frame(j0, G)
-
-
-def htype_classify(mu: Bracket, G: Metric) -> str:
-    """Classify a 2-step bracket metric pair as HType, ModifiedHType or Neither.
-
-    Tests j(Z)^2 on a center basis plus eight random unit center vectors:
-    ModifiedHType needs j(Z)^2 to be a negative scalar for every tested Z,
-    HType additionally needs that scalar to equal -<Z, Z>.
-    """
-    T0 = act(G.transport, mu.tensor).full()
-    _require_two_step(T0)
-    Q1, Q2 = _center_split(T0)
-    if Q2.shape[1] == 0:
-        raise NotTwoStep("bracket has trivial center")
-    rng = np.random.default_rng(0)
-    vectors = [Q2[:, i] for i in range(Q2.shape[1])]
-    for _ in range(8):
-        v = Q2 @ rng.standard_normal(Q2.shape[1])
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            vectors.append(v / norm)
-    modified = True
-    exact = True
-    m = Q1.shape[1]
-    for Z0 in vectors:
-        j0 = np.einsum("bak,k->ab", T0, Z0)
-        A = Q1.T @ j0 @ Q1
-        A2 = A @ A
-        c = float(np.trace(A2)) / m
-        scale = max(1.0, float(np.abs(A2).max()))
-        if c >= -1e-12 or np.abs(A2 - c * np.eye(m)).max() > 1e-8 * scale:
-            modified = False
-            break
-        if abs(c + float(Z0 @ Z0)) > 1e-8 * max(1.0, abs(c)):
-            exact = False
-    if not modified:
-        return "Neither"
-    return "HType" if exact else "ModifiedHType"

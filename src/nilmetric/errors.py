@@ -25,10 +25,6 @@ class SingularMap(NilmetricError):
     """A linear map required to be invertible is singular at working precision."""
 
 
-class NotTwoStep(NilmetricError):
-    """Operation requires a (non-abelian) 2-step nilpotent bracket."""
-
-
 class WrongTag(NilmetricError):
     """Structure tag not admissible for this operation."""
 
@@ -59,10 +55,6 @@ class ZeroTensor(NilmetricError):
 
 class StepCollapse(NilmetricError):
     """Integrator step size underflowed while enforcing constraints."""
-
-
-class NotApplicable(NilmetricError):
-    """Shortcut certificate preconditions not met."""
 
 
 class NotCertifiedError(NilmetricError):

@@ -16,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import (Bracket, Metric, SkewTensor, _center_split,
-                           _from_frame, _require_two_step, as_tensor,
-                           coboundary)
+from .algebra_core import (Bracket, Metric, SkewTensor, _from_frame,
+                           as_tensor, coboundary)
 from .curvature import _frame_data, curvature_report, soliton_split
 from .defaults import TOL_DISTINGUISH, certification_tolerance
-from .errors import (
-    DimensionMismatch,
-    NotApplicable,
-    NotClosed,
-    NotTwoStep,
-    WrongTag,
-)
+from .errors import DimensionMismatch, NotClosed, WrongTag
 from .structures import (
     SYMPLECTIC,
     Structure,
@@ -57,31 +50,17 @@ class Certificate:
         return self.verdict == MINIMAL
 
 
-def _residual(mu0: SkewTensor, D0: np.ndarray, defect: SkewTensor) -> float:
-    """Relative residual |defect| / ((1 + |D0|) |mu0|) of the coboundary
-    defect = delta_mu0(D0) in an orthonormal frame; 0 when mu0 = 0."""
-    norm = mu0.norm()
-    if norm == 0.0:
-        return 0.0
-    return float(defect.norm() / ((1.0 + float(np.linalg.norm(D0))) * norm))
-
-
-def _certificate(c: float, D0: np.ndarray, residual: float, G: Metric,
-                 tol: float) -> Certificate:
-    """The Certificate of (c, D0, residual) from the G-orthonormal frame:
-    the verdict at tol and D conjugated back to the G frame."""
-    verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
-    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
-                       verdict=verdict, tolerance=float(tol))
-
-
 def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
                       norm2: float) -> tuple:
     """(c, D0, residual, delta_mu0(D0)) of the certificate for mu0 in an
-    orthonormal frame, from its Ric^gamma and |mu|^2 (frame_curvature)."""
+    orthonormal frame, from its Ric^gamma and |mu|^2 (frame_curvature).
+    The residual is |delta_mu0(D0)| / ((1 + |D0|) |mu0|), 0 when mu0 = 0."""
     c, D0 = soliton_split(ric_gamma0, norm2)
     defect = coboundary(mu0, D0)
-    return c, D0, _residual(mu0, D0, defect), defect
+    norm = mu0.norm()
+    residual = (0.0 if norm == 0.0 else
+                float(defect.norm() / ((1.0 + float(np.linalg.norm(D0))) * norm)))
+    return c, D0, residual, defect
 
 
 def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
@@ -92,54 +71,16 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     Returns a Certificate whose verdict is Minimal iff the relative
     coboundary residual of D = Ric^gamma - c I is within tolerance.  The
     tolerance defaults to the package certification default, overridable
-    per call or through the NILMETRIC_TOL environment variable.
+    per call or through the NILMETRIC_TOL environment variable.  D is
+    returned in the original frame.
     """
     if tol is None:  # read first: a bad NILMETRIC_TOL is reported first
         tol = certification_tolerance()
     G, mu0, _, ric_gamma0, norm2 = _frame_data(mu, G, gamma, allow_scale)
     c, D0, residual, _ = frame_certificate(mu0, ric_gamma0, norm2)
-    return _certificate(c, D0, residual, G, tol)
-
-
-def two_step_shortcut(mu, G: Metric = None, gamma: Structure = None,
-                      tol: float = None) -> Certificate:
-    """Closed-form certificate for 2-step brackets whose invariant Ricci
-    operator is scalar on the center and on its orthogonal complement.
-
-    With Ric^gamma = diag(p I, q I) in that splitting, c = 2p - q and
-    D = diag((q-p) I, 2(q-p) I) is automatically a derivation.  Raises
-    NotApplicable when the bracket is not 2-step or the blocks are not
-    scalar; the result agrees with certify_minimal whenever it applies.
-    """
-    if tol is None:
-        tol = certification_tolerance()
-    G, mu0, _, ric_gamma0, _ = _frame_data(mu, G, gamma)
-    T0 = mu0.full()
-    try:
-        _require_two_step(T0)
-    except NotTwoStep as exc:
-        raise NotApplicable(str(exc)) from exc
-    Q1, Q2 = _center_split(T0)
-    if Q2.shape[1] == 0 or Q1.shape[1] == 0:
-        raise NotApplicable("center split is degenerate")
-    scale = max(1.0, float(np.abs(ric_gamma0).max()))
-    P11 = Q1.T @ ric_gamma0 @ Q1
-    P22 = Q2.T @ ric_gamma0 @ Q2
-    P12 = Q1.T @ ric_gamma0 @ Q2
-    p = float(np.trace(P11)) / Q1.shape[1]
-    q = float(np.trace(P22)) / Q2.shape[1]
-    off = max(
-        np.abs(P11 - p * np.eye(Q1.shape[1])).max(),
-        np.abs(P22 - q * np.eye(Q2.shape[1])).max(),
-        np.abs(P12).max() if P12.size else 0.0,
-    )
-    if off > 1e-8 * scale:
-        raise NotApplicable(
-            f"invariant Ricci blocks are not scalar (deviation {off:.3e})"
-        )
-    D0 = (q - p) * (Q1 @ Q1.T) + 2.0 * (q - p) * (Q2 @ Q2.T)
-    residual = _residual(mu0, D0, coboundary(mu0, D0))
-    return _certificate(2.0 * p - q, D0, residual, G, tol)
+    verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
+    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
+                       verdict=verdict, tolerance=float(tol))
 
 
 @dataclass(frozen=True)
@@ -155,18 +96,19 @@ def hermitian_obstruction(mu, G: Metric = None,
     algebra).  It is positive whenever the bracket is nonzero, so no
     compatible metric can have a hermitian (commuting) Ricci operator.
 
-    Returns Abelian for the zero bracket; raises NotClosed when the form
+    Returns Abelian for the zero bracket, which passes the same dimension
+    and compatibility checks as any other; raises NotClosed when the form
     is not closed for the bracket.
     """
     if gamma is None or gamma.tag != SYMPLECTIC:
         raise WrongTag("the obstruction is specific to symplectic structures")
     tensor = as_tensor(mu)
-    if tensor.norm2() == 0.0:
-        return ObstructionReport(status=ABELIAN, obstruction_norm=0.0)
     closed = integrability_residual(gamma, tensor)
     if not integrability_accepted(closed, tensor):
         raise NotClosed(f"form is not closed (residual {closed:.3e})")
     _, _, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
+    if tensor.norm2() == 0.0:
+        return ObstructionReport(status=ABELIAN, obstruction_norm=0.0)
     return ObstructionReport(
         status=OBSTRUCTED,
         obstruction_norm=float(np.linalg.norm(ric_gamma0)),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 import nilmetric as nm
 from nilmetric.algebra_core import as_tensor
@@ -75,6 +75,31 @@ def basis_projection(gamma, S):
     constraint nullspace computed without the reflection formulas."""
     basis = nm.structure_algebra(gamma, nm.Metric.identity(gamma.dim)).sym_basis
     return sum(float(np.sum(S * B)) * B for B in basis)
+
+
+def two_step_reference(mu, gamma=None):
+    """Reference for certify_minimal on a 2-step bracket at the identity
+    metric, in closed form: with Ric^gamma = diag(p I, q I) on the
+    complement of the center and on the center, c = 2p - q and
+    D = diag((q-p) I, 2(q-p) I), a derivation of every 2-step bracket.
+    Ric^gamma comes from the moment map and basis references; asserts
+    that the bracket is 2-step and that both blocks are scalar.
+    Returns (c, D)."""
+    T = as_tensor(mu).full()
+    n = T.shape[0]
+    scale = np.abs(T).max()
+    assert scale > 0.0
+    assert np.abs(np.einsum("ijl,lkm->ijkm", T, T)).max() <= 1e-10 * scale**2
+    center = null_space(T.transpose(0, 2, 1).reshape(n * n, n))
+    first = null_space(center.T)
+    ric = moment_map_reference(mu) / 8.0
+    if gamma is not None:
+        ric = basis_projection(gamma, ric)
+    p = np.trace(first.T @ ric @ first) / first.shape[1]
+    q = np.trace(center.T @ ric @ center) / center.shape[1]
+    P1, P2 = first @ first.T, center @ center.T
+    assert np.abs(ric - p * P1 - q * P2).max() <= 1e-10 * max(1.0, np.abs(ric).max())
+    return 2.0 * p - q, (q - p) * P1 + 2.0 * (q - p) * P2
 
 
 def fd_defect_jacobian(point, basis, gamma, payload0, eps=1e-7):

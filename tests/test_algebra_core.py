@@ -335,37 +335,15 @@ def test_svd_nullspace_edges():
     assert abs(ns[0, 0] + ns[1, 0]) < TOL
 
 
-def test_j_operator_center_invertibility():
-    # nondegenerate 2-step data: the squared center operator is invertible
-    # on the first block and vanishes on the center
-    p = nm.complex_curve(1.0)
-    b = nm.Bracket(p.tensor)
-    G = nm.Metric.identity(6)
-    z = np.zeros(6)
-    z[4] = 1.0
-    J = nm.j_operator(b, G, z)
-    JJ = J @ J
-    assert np.abs(JJ[4:, :]).max() < TOL
-    assert abs(np.linalg.det(JJ[:4, :4])) > 1e-6
-
-
 def test_wrong_size_identity_metric_is_rejected():
     # the identity metric takes the general frame path, with its size check
     b = nm.Bracket(nm.heisenberg().tensor)
     with pytest.raises(nm.DimensionMismatch):
         nm.scalar_curvature(b, nm.Metric.identity(4))
     with pytest.raises(nm.DimensionMismatch):
-        nm.htype_classify(b, nm.Metric.identity(5))
+        nm.certify_minimal(b, nm.Metric.identity(5))
     with pytest.raises(nm.DimensionMismatch):
-        nm.j_operator(b, nm.Metric.identity(5), np.array([0.0, 0.0, 1.0]))
-
-
-def test_htype_classification_goldens():
-    I3 = nm.Metric.identity(3)
-    I6 = nm.Metric.identity(6)
-    assert nm.htype_classify(nm.Bracket(nm.heisenberg().tensor), I3) == "HType"
-    assert nm.htype_classify(nm.Bracket(nm.complex_curve(1.0).tensor), I6) == "ModifiedHType"
-    assert nm.htype_classify(nm.Bracket(nm.complex_curve(1.5).tensor), I6) == "Neither"
+        nm.curvature_report(b, nm.Metric.identity(5))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,11 @@
-"""Certification, the 2-step shortcut, obstruction and fingerprints."""
+"""Certification against a 2-step reference, obstruction and fingerprints."""
 
 import numpy as np
 import pytest
 
 import nilmetric as nm
+
+from conftest import two_step_reference
 
 TOL = 1e-12
 
@@ -56,25 +58,17 @@ def test_certificate_tolerance_env(monkeypatch):
 
 
 def test_shortcut_agrees_with_general_certificate():
-    for t_par in (1.0, 1.5, 2.5):
-        p = nm.complex_curve(t_par)
-        a = nm.certify_minimal(p.tensor, gamma=p.structure)
-        b = nm.two_step_shortcut(p.tensor, gamma=p.structure)
-        assert b.minimal
-        assert a.c == pytest.approx(b.c, abs=1e-12)
-        assert np.abs(a.D - b.D).max() < 1e-11
-
-
-def test_shortcut_heisenberg():
-    cert = nm.two_step_shortcut(nm.heisenberg().tensor)
-    assert cert.minimal
-    assert cert.c == pytest.approx(-1.5, abs=TOL)
-
-
-def test_shortcut_rejects_higher_step():
-    with pytest.raises(nm.NotApplicable):
-        nm.two_step_shortcut(nm.m26_point(1.0, 0.0).tensor,
-                             gamma=nm.m26_point(1.0, 0.0).structure)
+    # certify_minimal against the closed-form 2-step reference
+    points = [nm.complex_curve(t) for t in (1.0, 1.5, 2.5)]
+    points += [nm.heisenberg(), nm.hc_g3_point()]
+    for p in points:
+        cert = nm.certify_minimal(p.tensor, gamma=p.structure)
+        c, D = two_step_reference(p.tensor, p.structure)
+        assert cert.minimal
+        assert cert.c == pytest.approx(c, abs=1e-12)
+        assert np.abs(cert.D - D).max() < 1e-11
+    c, _ = two_step_reference(nm.heisenberg().tensor)
+    assert c == pytest.approx(-1.5, abs=TOL)
 
 
 def test_obstruction_golden_m26():
@@ -89,6 +83,13 @@ def test_obstruction_abelian():
     rep = nm.hermitian_obstruction(nm.SkewTensor.zero(6), gamma=gamma)
     assert rep.status == "Abelian"
     assert rep.obstruction_norm == 0.0
+    rep = nm.hermitian_obstruction(nm.SkewTensor.zero(6), nm.Metric.identity(6),
+                                   gamma)
+    assert rep.status == "Abelian"
+    # the zero bracket is checked like any other before it reads Abelian
+    with pytest.raises(nm.DimensionMismatch):
+        nm.hermitian_obstruction(nm.SkewTensor.zero(4), nm.Metric.identity(6),
+                                 nm.standard_structure("symplectic", 4))
 
 
 def test_obstruction_requires_closedness():
