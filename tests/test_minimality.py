@@ -67,8 +67,14 @@ def test_shortcut_agrees_with_general_certificate():
         assert cert.minimal
         assert cert.c == pytest.approx(c, abs=1e-12)
         assert np.abs(cert.D - D).max() < 1e-11
+
+
+def test_shortcut_heisenberg():
     c, _ = two_step_reference(nm.heisenberg().tensor)
     assert c == pytest.approx(-1.5, abs=TOL)
+    cert = nm.certify_minimal(nm.heisenberg().tensor)
+    assert cert.minimal
+    assert cert.c == pytest.approx(-1.5, abs=TOL)
 
 
 def test_obstruction_golden_m26():
