@@ -97,7 +97,6 @@ from .structures import (
     metric_jmap,
     no_structure,
     structure_algebra,
-    structure_group_basis,
     symplectic_structure,
 )
 

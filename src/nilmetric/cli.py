@@ -29,7 +29,7 @@ from .flows import (MAX_ITER, TOL_CONVERGE, FlowConfig, bracket_descent,
 from .minimality import certify_minimal, distinguish, fingerprint
 from .problemfile import jsonable, load_problem, point_to_problem
 from .structures import (compatibility_residual, integrability_accepted,
-                         integrability_residual, structure_group_basis)
+                         integrability_residual, structure_algebra)
 
 
 def _emit(payload) -> None:
@@ -134,16 +134,13 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, scale,
         norm = np.linalg.norm(xi)
         if norm > 0:
             xi = (scale / norm) * xi
-        # exp(S), S the symmetric part of xi, lies in the structure group;
-        # the skew part would add only an isometry, which F does not see
-        start = act(expm(0.5 * (xi + xi.T)), tensor)
+        start = act(expm(xi), tensor)
     trace = bracket_descent(start, structure, **settings)
     final = trace.final_state
     cert = certify_minimal(final, Metric.identity(final.dim), structure)
     return {
         "start": index,
         "converged": trace.converged,
-        "no_descent": not trace.converged,
         "stop_reason": trace.stop_reason,
         "iterations": len(trace.samples) - 1,
         "F_final": trace.samples[-1][2],
@@ -159,8 +156,8 @@ def cmd_search(args) -> int:
     problem = load_problem(args.file)
     tensor = problem.tensor.scaled(1.0 / problem.tensor.norm()) \
         if problem.tensor.norm() > 0 else problem.tensor
-    basis = structure_group_basis(problem.structure,
-                                  Metric.identity(problem.dim))
+    basis = structure_algebra(problem.structure,
+                              Metric.identity(problem.dim)).sym_basis
     settings = {"tol_converge": args.tol_converge, "max_iter": args.max_iter}
     children = np.random.SeedSequence(args.seed).spawn(args.starts)
     results = [_search_one(k, tensor, problem.structure, basis, children[k],
@@ -301,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=_POSITIVE_INT, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturbation", type=_NON_NEGATIVE, default=0.2,
-                   help="size of the random structure-group perturbations")
+                   help="Frobenius norm of each perturbed start's symmetric "
+                        "structure-algebra generator")
     p.add_argument("--tol-converge", type=_POSITIVE, default=TOL_CONVERGE)
     p.add_argument("--max-iter", type=_POSITIVE_INT, default=MAX_ITER)
     p.set_defaults(func=cmd_search)

@@ -1,6 +1,6 @@
 """Geometric structures on the underlying vector space: compatibility of
-metrics, integrability residuals, the symmetric part of the structure
-algebra, and invariant projections onto it.
+metrics, integrability residuals, the structure algebra, and invariant
+projections onto it.
 
 A Structure is a tagged payload:
 
@@ -15,8 +15,11 @@ A Structure is a tagged payload:
 In the G-orthonormal frame every class is one tuple of maps J_k
 (_frame_maps), and G is compatible iff J_k^T J_k = kappa I for each, with
 kappa = 1 unless a scale is allowed.  Divided by sqrt(kappa), the maps give
-the projection onto the symmetric structure algebra, (S + s sum_k J_k S
-J_k) / (1 + k): s = +1 for the symplectic map, s = -1 for complex maps.
+the one projector onto the whole structure algebra, (X + sum_k s_k(X)) /
+(1 + k) with the reflection s(X) = J X^T J for the symplectic map and
+-J X J for each complex map (_frame_projection).  It maps symmetric to
+symmetric and skew to skew; on symmetric maps it gives invariant_projection
+and Ric^gamma, and structure_algebra's bases span its image.
 Integrability and the abelian test are one defect array per condition:
 the closedness rows of a form, one array per complex map.
 """
@@ -33,7 +36,6 @@ from .algebra_core import (
     _from_frame,
     _to_frame,
     as_tensor,
-    combine,
     pair_index,
     svd_nullspace,
     sym_basis,
@@ -240,13 +242,18 @@ def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
                                     for d in _abelian_parts(gamma, mu)))
 
 
-def _frame_constraint_rows(gamma: Structure, payload0, B: np.ndarray) -> np.ndarray:
-    """Constraint vector whose vanishing says B belongs to the structure
-    algebra in the orthonormal frame: B^T J + J B = 0 for the symplectic
-    map, B J - J B = 0 for each complex map."""
+def _frame_projection(gamma: Structure, payload0, X: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the structure algebra in the orthonormal
+    frame, (X + sum_k s_k(X)) / (1 + k) with s(X) = J X^T J for the
+    symplectic map and -J X J for each complex map; leading axes of X are a
+    batch.  X^T is copied so that a symmetric X rounds exactly as X does."""
     symplectic = gamma.tag == SYMPLECTIC
-    return np.array([B.T @ J0 + J0 @ B if symplectic else B @ J0 - J0 @ B
-                     for J0 in payload0]).ravel()
+    Xt = np.ascontiguousarray(X.swapaxes(-1, -2)) if symplectic else X
+    out = X
+    for J0 in payload0:
+        A = J0 @ Xt @ J0
+        out = out + A if symplectic else out - A
+    return out / (1 + len(payload0))
 
 
 @dataclass(frozen=True)
@@ -262,38 +269,22 @@ class StructureAlgebra:
 def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
     """Bases of the G-symmetric and G-skew parts of the structure algebra.
 
-    Each is an orthonormal nullspace of the constraint rows in the
-    G-orthonormal frame, conjugated back; raises IncompatibleMetric as
+    Each is an orthonormal basis of _frame_projection's image on
+    sym_basis(n) or skew_basis(n) in the G-orthonormal frame (the
+    eigenvectors of eigenvalue 1 of the projector's Gram matrix on that
+    basis), conjugated back; raises IncompatibleMetric as
     _transported_payload does.
     """
+    n = gamma.dim
     payload0 = _transported_payload(gamma, G)
     parts = []
-    for part in (sym_basis(gamma.dim), skew_basis(gamma.dim)):
-        rows = np.array(
-            [_frame_constraint_rows(gamma, payload0, B) for B in part]
-        ).T
-        ns = svd_nullspace(rows)
-        parts.append([_from_frame(A, G) for A in combine(ns.T, part)])
+    for part in (sym_basis(n), skew_basis(n)):
+        B = np.reshape(part, (-1, n, n))
+        PB = _frame_projection(gamma, payload0, B)
+        gram = np.tensordot(B, PB, ([1, 2], [1, 2]))
+        w, v = np.linalg.eigh(gram)
+        parts.append(list(_from_frame(np.tensordot(v[:, w > 0.5].T, B, 1), G)))
     return StructureAlgebra(*parts)
-
-
-def structure_group_basis(gamma: Structure, G: Metric) -> list:
-    """Full basis (symmetric plus skew parts) of the structure algebra,
-    conjugated back to the G frame.  Used for orbit perturbations."""
-    algebra = structure_algebra(gamma, G)
-    return algebra.sym_basis + algebra.skew_basis
-
-
-def _frame_projection(gamma: Structure, payload0, S0: np.ndarray) -> np.ndarray:
-    """Closed-form orthogonal projection onto the symmetric structure
-    algebra in the orthonormal frame, (S + s sum_k J_k S J_k) / (1 + k)
-    with s = +1 for the symplectic map and -1 for complex maps."""
-    symplectic = gamma.tag == SYMPLECTIC
-    out = S0
-    for J0 in payload0:
-        A = J0 @ S0 @ J0
-        out = out + A if symplectic else out - A
-    return out / (1 + len(payload0))
 
 
 def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,

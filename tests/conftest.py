@@ -8,8 +8,10 @@ import pytest
 from scipy.linalg import expm, null_space
 
 import nilmetric as nm
-from nilmetric.algebra_core import as_tensor
+from nilmetric.algebra_core import (_from_frame, as_tensor, combine,
+                                    skew_basis, svd_nullspace, sym_basis)
 from nilmetric.flows import _certified, _evaluate
+from nilmetric.structures import _transported_payload
 
 
 def graded_two_step(n, n1, rng, density=0.5):
@@ -50,12 +52,44 @@ def bracket_corpus():
     return corpus
 
 
+def _frame_constraint_rows(gamma, payload0, B):
+    """Constraint vector whose vanishing says B belongs to the structure
+    algebra in the orthonormal frame: B^T J + J B = 0 for the symplectic
+    map, B J - J B = 0 for each complex map."""
+    symplectic = gamma.tag == "symplectic"
+    return np.array([B.T @ J0 + J0 @ B if symplectic else B @ J0 - J0 @ B
+                     for J0 in payload0]).ravel()
+
+
+def algebra_reference(gamma, G=None):
+    """Reference for nm.structure_algebra, computed without the reflection
+    formulas: each part is an orthonormal SVD nullspace of the constraint
+    rows on sym_basis(n) or skew_basis(n) in the G-orthonormal frame,
+    conjugated back (G defaults to the identity)."""
+    G = nm.Metric.identity(gamma.dim) if G is None else G
+    payload0 = _transported_payload(gamma, G)
+    parts = []
+    for part in (sym_basis(gamma.dim), skew_basis(gamma.dim)):
+        rows = np.array(
+            [_frame_constraint_rows(gamma, payload0, B) for B in part]).T
+        ns = svd_nullspace(rows)
+        parts.append([_from_frame(A, G) for A in combine(ns.T, part)])
+    return nm.StructureAlgebra(*parts)
+
+
+def group_reference(gamma):
+    """The reference basis of the whole structure algebra at the identity
+    metric, the symmetric part then the skew part; tests draw their random
+    structure-group moves from it."""
+    algebra = algebra_reference(gamma)
+    return algebra.sym_basis + algebra.skew_basis
+
+
 @pytest.fixture(scope="session")
 def sp6_basis():
     """Basis of the invariance algebra of the standard 6-dim symplectic
     structure at the identity metric (dimension 21)."""
-    gamma = nm.standard_structure("symplectic", 6)
-    return nm.structure_group_basis(gamma, nm.Metric.identity(6))
+    return group_reference(nm.standard_structure("symplectic", 6))
 
 
 def moment_map_reference(mu):
@@ -71,9 +105,9 @@ def moment_map_reference(mu):
 
 def basis_projection(gamma, S):
     """Reference for invariant_projection at the identity metric: S expanded
-    against the orthonormal basis of the symmetric structure algebra, a
-    constraint nullspace computed without the reflection formulas."""
-    basis = nm.structure_algebra(gamma, nm.Metric.identity(gamma.dim)).sym_basis
+    against the orthonormal basis of the symmetric structure algebra from
+    algebra_reference, which does not use the reflection formulas."""
+    basis = algebra_reference(gamma).sym_basis
     return sum(float(np.sum(S * B)) * B for B in basis)
 
 

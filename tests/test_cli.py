@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nilmetric as nm
+from nilmetric.algebra_core import expm
 from nilmetric.cli import main
 from nilmetric.defaults import TOL_JACOBI
 from nilmetric.problemfile import jsonable
@@ -227,10 +228,30 @@ def test_search_finds_minimum_and_is_deterministic(capsys, tmp_path):
     for row in payload["starts"]:
         assert row["converged"] is True
         assert row["stop_reason"] == "converged"
+        assert "no_descent" not in row
         assert row["F_final"] == pytest.approx(7.0 / 160.0, abs=1e-8)
     assert payload["best"]["certificate"]["verdict"] == "Minimal"
     code, out2, _ = run(capsys, argv)
     assert out2 == out1  # byte-identical rerun
+
+
+def test_search_perturbation_is_the_generator_norm(capsys, tmp_path,
+                                                   monkeypatch):
+    # every perturbed start k >= 1 moves by exp(xi) with |xi| = --perturbation
+    p = nm.m26_point(1.0, 0.0)
+    path = write_problem(tmp_path, "m26.json", p.tensor, p.structure)
+    norms = []
+
+    def recorded(xi):
+        norms.append(np.linalg.norm(xi))
+        return expm(xi)
+
+    monkeypatch.setattr("nilmetric.cli.expm", recorded)
+    code, _, _ = run(capsys, ["search", path, "--starts", "4", "--seed", "0",
+                              "--perturbation", "0.2"])
+    assert code == 0
+    assert len(norms) == 3
+    assert np.abs(np.array(norms) - 0.2).max() <= 1e-12
 
 
 def test_check_scales_integrability_bound_with_norm(capsys, tmp_path):

@@ -8,7 +8,8 @@ from scipy.stats import ortho_group
 
 import nilmetric as nm
 
-from conftest import count_kernel_calls, moment_map_reference
+from conftest import (algebra_reference, count_kernel_calls,
+                      moment_map_reference)
 
 TOL = 1e-12
 
@@ -194,7 +195,7 @@ def test_frame_kernel_matches_entry_points():
     # in the G-orthonormal frame the kernel gives the transported operators
     p = nm.complex_curve(1.5)
     rng = np.random.default_rng(43)
-    basis = nm.structure_algebra(p.structure, nm.Metric.identity(6)).sym_basis
+    basis = algebra_reference(p.structure).sym_basis
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     G = nm.Metric(np.linalg.matrix_power(np.eye(6) + 0.1 * xi, 2))
     h, hinv = G.transport, G.transport_inv

@@ -8,8 +8,9 @@ from scipy.linalg import expm
 
 import nilmetric as nm
 
-from conftest import (coarse_flow_start, count_kernel_calls,
-                      fd_defect_jacobian, perturbed_m26, reference_direction)
+from conftest import (algebra_reference, coarse_flow_start,
+                      count_kernel_calls, fd_defect_jacobian, group_reference,
+                      perturbed_m26, reference_direction)
 from nilmetric.flows import _certified, _defect_jacobian, _evaluate
 from nilmetric.structures import _transported_payload
 
@@ -223,7 +224,7 @@ def test_descent_direction_is_minus_coboundary_of_D(name):
     # (hc-g3 and heisenberg stay critical along their orbits)
     p = nm.catalog_get(name)
     n = p.tensor.dim
-    basis = nm.structure_group_basis(p.structure, nm.Metric.identity(n))
+    basis = group_reference(p.structure)
     rng = np.random.default_rng(91)
     for _ in range(5):
         xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
@@ -332,8 +333,7 @@ def test_frame_flow_matches_metric_state_rk4(preset):
     p = nm.catalog_get(preset)
     tensor = p.tensor.scaled(nm.catalog_get("m26").tensor.norm()
                              / p.tensor.norm())
-    basis = nm.structure_group_basis(p.structure,
-                                     nm.Metric.identity(tensor.dim))
+    basis = group_reference(p.structure)
     rng = np.random.default_rng(808)
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     xi *= 0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi)
@@ -411,7 +411,7 @@ def test_flow_step_grows_back_to_cfg_step():
     # hc-g3 from a large perturbation: early steps of cfg.step drift scal,
     # and once the flow calms down the step returns to cfg.step
     p = nm.catalog_get("hc-g3")
-    basis = nm.structure_group_basis(p.structure, nm.Metric.identity(8))
+    basis = group_reference(p.structure)
     rng = np.random.default_rng(0)
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     phi = expm(0.8 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
@@ -467,8 +467,8 @@ def test_defect_jacobian_matches_finite_differences(name, structured):
     n = p.tensor.dim
     gamma = p.structure if structured else nm.no_structure(n)
     identity = nm.Metric.identity(n)
-    basis = nm.structure_algebra(gamma, identity).sym_basis
-    group = nm.structure_group_basis(p.structure, identity)
+    basis = algebra_reference(gamma).sym_basis
+    group = group_reference(p.structure)
     payload0 = _transported_payload(gamma, identity)
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -494,7 +494,7 @@ def test_descent_stop_reasons(sp6_basis):
     # stall or fail a line search; the reason is "converged" exactly when
     # the run converged
     p = nm.catalog_get("iwasawa-curve")
-    basis = nm.structure_group_basis(p.structure, nm.Metric.identity(6))
+    basis = group_reference(p.structure)
     for seed in range(16):
         rng = np.random.default_rng(seed)
         xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
@@ -519,7 +519,7 @@ def test_flow_is_equivariant_under_basis_change(preset):
         moved = nm.symplectic_structure(ginv.T @ p.structure.payload @ ginv)
     else:
         moved = nm.complex_structure(g @ p.structure.payload @ ginv)
-    basis = nm.structure_group_basis(p.structure, nm.Metric.identity(n))
+    basis = group_reference(p.structure)
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     phi = expm(0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
     G0 = phi.T @ phi

@@ -5,11 +5,15 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nilmetric as nm
 from nilmetric.algebra_core import combine, expm
 from nilmetric.defaults import TOL_COMPAT
 from nilmetric.structures import (
+    _frame_projection,
+    _transported_payload,
     abelian_residual,
     integrability_defect,
     invariant_projection,
@@ -18,9 +22,20 @@ from nilmetric.structures import (
     full_ambient_basis,
 )
 
-from conftest import basis_projection
+from conftest import algebra_reference, basis_projection, group_reference
 
 TOL = 1e-12
+
+
+def rotated_structure(kind, n, rng):
+    """The standard structure of the kind moved by a random rotation O.
+    For the standard block layout the Cholesky factor of a compatible
+    metric is itself in the structure group, so the frame maps would
+    equal the original ones."""
+    O, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    std = nm.standard_structure(kind, n)
+    return getattr(nm, f"{kind}_structure")(
+        *(O @ J @ O.T for J in std.maps() or (std.payload,)))
 
 
 def test_standard_symplectic_squares_to_minus_identity():
@@ -160,7 +175,7 @@ def test_scaled_compatible_metric_is_accepted(preset, scale):
     n = p.tensor.dim
     symplectic = p.structure.tag == "symplectic"
     rng = np.random.default_rng(61)
-    basis = structure_algebra(p.structure, nm.Metric.identity(n)).sym_basis
+    basis = algebra_reference(p.structure).sym_basis
     xi = combine(rng.standard_normal(len(basis)), basis)
     phi = expm(0.5 * xi / np.linalg.norm(xi))
     G = nm.Metric(scale * phi.T @ phi)
@@ -179,7 +194,7 @@ def test_check_and_entry_points_share_one_compatibility_verdict(kind):
     # and the strict projection's must agree on every draw
     n = 8 if kind == "hypercomplex" else 6
     gamma = nm.standard_structure(kind, n)
-    basis = nm.structure_group_basis(gamma, nm.Metric.identity(n))
+    basis = group_reference(gamma)
     rng = np.random.default_rng(67)
     verdicts = []
     for _ in range(1000):
@@ -214,13 +229,127 @@ def test_structure_algebra_dimensions():
     assert sa.skew_dim == 10
 
 
-def test_structure_group_basis_symplectic_dimension():
+def test_structure_algebra_symplectic_parts():
     gamma = nm.standard_structure("symplectic", 6)
-    basis = nm.structure_group_basis(gamma, nm.Metric.identity(6))
-    assert len(basis) == 21
+    sa = structure_algebra(gamma, nm.Metric.identity(6))
+    assert (len(sa.sym_basis), sa.skew_dim) == (12, 9)
     om = gamma.payload
-    for B in basis:
+    for B in sa.sym_basis + sa.skew_basis:
         assert np.abs(B.T @ om + om @ B).max() < 1e-10
+
+
+def _span_gap(A, B):
+    """sin of the largest principal angle between the spans of two lists
+    of matrices of the same length."""
+    QA, QB = (np.linalg.qr(np.reshape(M, (len(M), -1)).T)[0] for M in (A, B))
+    return np.linalg.norm(QA @ QA.T - QB @ QB.T, 2)
+
+
+@pytest.mark.parametrize("kind,n,sym,skew,at", [
+    (kind, n, sym, skew, at)
+    for kind, n, sym, skew in (("symplectic", 6, 12, 9), ("complex", 6, 9, 9),
+                               ("hypercomplex", 8, 6, 10))
+    for at in ("identity", "compatible")]
+    + [("hc-g3 + hc-g3", 16, 28, 36, "identity")])
+def test_structure_algebra_spans_the_reference(kind, n, sym, skew, at):
+    # each part is an orthonormal basis in the G-orthonormal frame of the
+    # span of the constraint-nullspace reference; a compatible G = phi^T
+    # phi, phi = exp(xi) with xi in the reference algebra of a rotated
+    # structure, makes the frame maps differ from the original ones
+    rng = np.random.default_rng(71)
+    if kind == "hc-g3 + hc-g3":  # block-diagonal maps
+        gamma = nm.hypercomplex_structure(*(
+            np.kron(np.eye(2), J) for J in nm.catalog_get("hc-g3").structure.payload))
+    elif at == "identity":
+        gamma = nm.standard_structure(kind, n)
+    else:
+        gamma = rotated_structure(kind, n, rng)
+    G = nm.Metric.identity(n)
+    if at == "compatible":
+        basis = algebra_reference(gamma).sym_basis
+        phi = expm(0.3 * combine(rng.standard_normal(len(basis)), basis))
+        G = nm.Metric(phi.T @ phi)
+        assert np.abs(G.matrix - np.eye(n)).max() > 0.05
+    got, want = structure_algebra(gamma, G), algebra_reference(gamma, G)
+    assert (len(got.sym_basis), got.skew_dim) == (sym, skew)
+    h, hinv = G.transport, G.transport_inv
+    for part, ref, sign in ((got.sym_basis, want.sym_basis, 1.0),
+                            (got.skew_basis, want.skew_basis, -1.0)):
+        assert len(part) == len(ref)
+        assert _span_gap(part, ref) <= 1e-12
+        frame = np.array([h @ B @ hinv for B in part])
+        assert np.abs(frame - sign * frame.swapaxes(1, 2)).max() <= 1e-12
+        gram = np.tensordot(frame, frame, ([1, 2], [1, 2]))
+        assert np.abs(gram - np.eye(len(part))).max() <= 1e-12
+
+
+def test_structure_algebra_rejects_a_scaled_symplectic_metric():
+    gamma = nm.standard_structure("symplectic", 6)
+    with pytest.raises(nm.IncompatibleMetric):
+        structure_algebra(gamma, nm.Metric(2.5 * np.eye(6)))
+
+
+def _literal_projection(gamma, payload0, S):
+    """(S + s sum_k J_k S J_k) / (1 + k) on a symmetric S, summed in the
+    order of the maps, s = +1 for the symplectic map and -1 otherwise."""
+    s = 1.0 if gamma.tag == "symplectic" else -1.0
+    out = S
+    for J in payload0:
+        out = out + s * (J @ S @ J)
+    return out / (1 + len(payload0))
+
+
+def _frames():
+    """(gamma, payload0) for each class at I and, rotated, at a compatible
+    non-identity metric."""
+    rng = np.random.default_rng(73)
+    frames = []
+    for kind, n in (("symplectic", 6), ("complex", 6), ("hypercomplex", 8)):
+        gamma = nm.standard_structure(kind, n)
+        frames.append((gamma, _transported_payload(gamma, nm.Metric.identity(n))))
+        gamma = rotated_structure(kind, n, rng)
+        basis = algebra_reference(gamma).sym_basis
+        phi = expm(0.3 * combine(rng.standard_normal(len(basis)), basis))
+        frames.append((gamma, _transported_payload(gamma, nm.Metric(phi.T @ phi))))
+    return frames
+
+
+FRAMES = _frames()
+_entries = st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6) | st.just(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(FRAMES))),
+       st.lists(_entries, min_size=3 * 64, max_size=3 * 64))
+def test_frame_projection_is_the_orthogonal_projector(index, entries):
+    # on arbitrary X (symmetric plus skew): idempotent, self-adjoint in the
+    # trace inner product, symmetric to symmetric and skew to skew, with an
+    # image in the structure algebra; on symmetric X, bitwise the literal
+    # reflection formula, alone and as a (k, n, n) batch
+    gamma, payload0 = FRAMES[index]
+    n = gamma.dim
+    X, Y, Z = np.reshape(entries[:3 * n * n], (3, n, n))
+    scale = 1.0 + np.abs(X).max() * np.abs(Y).max()
+
+    def P(M):
+        return _frame_projection(gamma, payload0, M)
+
+    PX = P(X)
+    assert np.abs(P(PX) - PX).max() <= 1e-12 * (1.0 + np.abs(X).max())
+    assert abs(np.sum(PX * Y) - np.sum(X * P(Y))) <= 1e-12 * n * n * scale
+    S, K = X + X.T, X - X.T
+    for M, sign in ((S, 1.0), (K, -1.0)):
+        PM = P(M)
+        assert np.abs(PM - sign * PM.T).max() <= 1e-12 * (1.0 + np.abs(M).max())
+    bound = 1e-12 * (1.0 + np.abs(X).max())
+    for J in payload0:
+        defect = (PX.T @ J + J @ PX if gamma.tag == "symplectic"
+                  else PX @ J - J @ PX)
+        assert np.abs(defect).max() <= bound
+    assert np.array_equal(P(S), _literal_projection(gamma, payload0, S))
+    batch = np.stack([X, Y, Z])
+    batch = batch + batch.swapaxes(1, 2)
+    assert np.array_equal(P(batch), _literal_projection(gamma, payload0, batch))
 
 
 def test_structure_algebra_members_satisfy_frame_constraint():
@@ -287,17 +416,12 @@ def test_projection_under_transported_metric():
     # orthogonal.  Q carries the identity-metric constraint-nullspace basis
     # into the G0-frame, where the reflection formula must expand against
     # it; a symplectic metric kappa G0 has the structure algebra of G0.
-    # The standard structure is rotated first: for its block layout the
-    # Cholesky factor of G0 is itself in the structure group, so the frame
-    # maps would equal the original ones.
+    # The standard structure is rotated first (rotated_structure).
     rng = np.random.default_rng(41)
     for kind, n, kappa in (("symplectic", 6, 1.0), ("symplectic", 6, 2.5),
                            ("complex", 6, 1.0), ("hypercomplex", 8, 1.0)):
-        O, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        std = nm.standard_structure(kind, n)
-        gamma = getattr(nm, f"{kind}_structure")(
-            *(O @ J @ O.T for J in std.maps() or (std.payload,)))
-        basis = structure_algebra(gamma, nm.Metric.identity(n)).sym_basis
+        gamma = rotated_structure(kind, n, rng)
+        basis = algebra_reference(gamma).sym_basis
         xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
         phi = expm(0.3 * xi / np.linalg.norm(xi))
         G0 = nm.Metric(phi.T @ phi)
