@@ -103,15 +103,22 @@ def svd_nullspace(M: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
+@lru_cache(maxsize=None)
+def _pair_scatter(n: int) -> np.ndarray:
+    """Read-only matrix taking stored pair rows p to the full array's rows:
+    +1 at (i n + j, p) and -1 at (j n + i, p)."""
+    ij, ji = _flat_pair_index(n)
+    S = np.eye(n * n)[:, ij] - np.eye(n * n)[:, ji]
+    S.flags.writeable = False
+    return S
+
+
 def _full_array(coeffs: np.ndarray) -> np.ndarray:
     """The full antisymmetric (..., n, n, n) arrays of stored pair rows
-    (..., n(n-1)/2, n); leading axes are a batch."""
+    (..., n(n-1)/2, n); leading axes are a batch.  One product with the
+    scatter matrix, exact: each entry is one coefficient times +-1."""
     n = coeffs.shape[-1]
-    iu, ju = pair_index(n)
-    T = np.zeros(coeffs.shape[:-2] + (n, n, n))
-    T[..., iu, ju, :] = coeffs
-    T[..., ju, iu, :] = -coeffs
-    return T
+    return (_pair_scatter(n) @ coeffs).reshape(coeffs.shape[:-2] + (n, n, n))
 
 
 class SkewTensor:
@@ -128,7 +135,7 @@ class SkewTensor:
             raise DimensionMismatch(
                 f"coeffs shape {coeffs.shape}, expected {expected} for dim {dim}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("tensor coefficients must be finite")
         self.dim = dim
         self.coeffs = coeffs
@@ -178,7 +185,7 @@ class SkewTensor:
 
     def norm2(self) -> float:
         """Squared norm under the ordered-sum convention."""
-        return 2.0 * float(np.sum(self.coeffs**2))
+        return 2.0 * float(np.vdot(self.coeffs, self.coeffs))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm2()))
@@ -335,10 +342,11 @@ def act(g: np.ndarray, mu: SkewTensor) -> SkewTensor:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMap("basis change is singular") from exc
-    if not np.all(np.isfinite(ginv)):
+    if not np.isfinite(ginv).all():
         raise SingularMap("basis change is singular at working precision")
-    # 1-norm condition estimate; cheap and within a factor n of the true value
-    cond_est = float(np.linalg.norm(g, 1) * np.linalg.norm(ginv, 1))
+    # 1-norm condition estimate, within a factor n of the true value: the
+    # largest column sums of |g| and |g^-1|, as np.linalg.norm(., 1) reduces
+    cond_est = float(np.abs(g).sum(0).max() * np.abs(ginv).sum(0).max())
     if cond_est > COND_WARN:
         warnings.warn(
             f"basis change condition number about {cond_est:.2e} exceeds "

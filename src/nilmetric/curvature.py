@@ -107,11 +107,12 @@ def F_of_ricci(ric_gamma: np.ndarray, norm2: float) -> float:
 
 
 def soliton_split(ric_gamma: np.ndarray, norm2: float) -> tuple:
-    """(c, D) with Ric^gamma = c I + D, c = tr((Ric^gamma)^2) / scal (0
-    when scal = -|mu|^2 / 4 is 0): the certificate's split, whose D is the
-    normalized flow's velocity and delta_mu(D) the descent's direction."""
+    """(c, D) with the frame's symmetric Ric^gamma = c I + D, c =
+    tr((Ric^gamma)^2) / scal (0 when scal = -|mu|^2 / 4 is 0): the
+    certificate's split, whose D is the normalized flow's velocity and
+    delta_mu(D) the descent's direction."""
     scal = -0.25 * norm2
-    c = 0.0 if scal == 0.0 else float(np.trace(ric_gamma @ ric_gamma)) / scal
+    c = 0.0 if scal == 0.0 else float(np.vdot(ric_gamma, ric_gamma)) / scal
     return c, ric_gamma - c * np.eye(len(ric_gamma))
 
 

@@ -5,9 +5,11 @@ brackets, plus the self-similarity check for certified solitons.
 Both call the curvature kernel once per bracket they visit and use the
 certificate's split Ric^gamma = c I + D (curvature.soliton_split).  The
 metric flow is a bracket flow (Lauret, "The Ricci flow for simply
-connected nilmanifolds", Comm. Anal. Geom. 19, 2011): G = h^T h with h' =
-s/2 R h, R the Ric^gamma of act(h, mu) at the identity; the normalized
-flow's velocity is D in place of R.  The frame payload stays fixed.
+connected nilmanifolds", Comm. Anal. Geom. 19, 2011) on the pair (mu, h),
+G = h^T h and mu = act(h, mu0): h' = s/2 A h and mu' = s/2 delta_mu(A), A
+the Ric^gamma of mu at the identity (D for the normalized flow).  Each
+step forms act(h_new, mu0) once, to test the integrated bracket and as
+the next state.  The frame payload stays fixed.
 
 The bracket descent runs in two phases.  Phase one follows the orbit
 retraction mu <- normalize(act(expm(-eta * Ric^gamma), mu)) with a
@@ -71,6 +73,8 @@ ESCAPE_FACTOR = 10.0
 MAX_HALVINGS = 40
 REGROW_AFTER = 8  # accepted steps in a row before a halved step doubles
 MAX_POLISH_ITERS = 40
+GAP_TOL = 1e-6  # metric_flow's bound on |mu_rk4 - act(h_new, mu0)| relative
+RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))  # RK4 (c, w) after stage 1
 TOL_CONVERGE = 1e-8  # bracket_descent's default stop on |delta_mu(D)|
 MAX_ITER = 500  # bracket_descent's default cap on first-phase iterations
 
@@ -143,16 +147,15 @@ def _sample_row(point: tuple, t: float) -> tuple:
     return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma, norm2), residual)
 
 
-def _flow_field(tensor: SkewTensor, gamma: Structure, h: np.ndarray,
-                payload0, sign: float, renorm: bool,
-                mu_h: SkewTensor = None) -> np.ndarray:
-    """h' for the frame h; G = h^T h then solves the metric flow.  mu_h is
-    act(h, tensor) when the caller already has it."""
-    if mu_h is None:
-        mu_h = act(h, tensor)
-    _, ric_gamma, norm2 = frame_curvature(mu_h, gamma, payload0)
-    A = soliton_split(ric_gamma, norm2)[1] if renorm else ric_gamma
-    return (0.5 * sign) * (A @ h)
+def _flow_field(mu: SkewTensor, gamma: Structure, h: np.ndarray, payload0,
+                sign: float, renorm: bool) -> tuple:
+    """(mu', h') of the pair state (mu, h), mu = act(h, mu0): h' = s/2 A h
+    and mu' = s/2 delta_mu(A) as pair rows, with A = D (or Ric^gamma when
+    not renorm) of mu at the identity."""
+    _, ric_gamma, norm2 = frame_curvature(mu, gamma, payload0)
+    A = (0.5 * sign) * (soliton_split(ric_gamma, norm2)[1] if renorm
+                        else ric_gamma)
+    return _coboundary_rows(mu.coeffs, mu.full(), A), A @ h
 
 
 def _positive_definite(M: np.ndarray) -> bool:
@@ -168,22 +171,23 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     """Integrate dG/dt = s G Ric^gamma_G, with the trace term that freezes
     the scalar curvature when cfg.renorm is set, s = +-1 per cfg.sign.
 
-    The state is a frame h with G = h^T h, starting at the Cholesky
-    transport of G0 (see the module docstring); G is formed only at the
-    samples and at the end.  Fixed-step integration (rk4 or euler); a step
-    is rejected and halved when its change of G leaves the positive-definite
-    cone, when the new frame is singular or, for the normalized flow, when
-    the scalar curvature drifts beyond 1e-8 in one step.  After
-    REGROW_AFTER accepted steps in a row the step doubles again, up to
-    cfg.step.  Raises StepCollapse when halving underflows,
+    The state is the pair (mu, h) of the module docstring, h starting at
+    the Cholesky transport of G0; G is formed only at the samples and at the
+    end.  Fixed-step integration (rk4 or euler); a step is rejected and
+    halved when its change of G leaves the positive-definite cone, when the
+    new frame is singular or a stage overflows, when the integrated bracket
+    leaves act(h_new, mu0) by more than GAP_TOL of its largest entry or, for
+    the normalized flow, when the scalar curvature drifts beyond 1e-8 in one
+    step.  After REGROW_AFTER accepted steps in a row the step doubles
+    again, up to cfg.step.  Raises StepCollapse when halving underflows,
     IncompatibleMetric when G0 is not compatible with the structure.
     Symplectic trajectories are followed in the conformal cone (the flow
     scales the form).  The run stops at the horizon or after cfg.max_steps
     attempted steps; trace.stop_reason says which ("horizon" or
     "step_cap").  trace.stats counts the field evaluations, the accepted
     steps and the rejected ones by reason ("cone", "error" for a
-    NilmetricError or LinAlgError, "scal_drift"), with the smallest and the
-    final step size.
+    NilmetricError, LinAlgError or overflow, "scal_drift", "bracket_gap"),
+    the smallest and the final step size, and the largest accepted gap.
     """
     tensor = as_tensor(mu)
     if cfg is None:
@@ -192,57 +196,62 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         gamma = no_structure(tensor.dim)
     payload0 = _transported_payload(gamma, G0, allow_scale=True)
     sign = 1.0 if cfg.sign == "plus" else -1.0
+    stages = RK4_STAGES if cfg.integrator == "rk4" else ()
+    weight = 1.0 + sum(w for _, w in stages)  # 6 for RK4, 1 for Euler
     evals = 0
 
-    def field(state, mu_state=None):
+    def field(mu_state, h_state):
         nonlocal evals
         evals += 1
-        return _flow_field(tensor, gamma, state, payload0, sign, cfg.renorm,
-                           mu_state)
+        return _flow_field(mu_state, gamma, h_state, payload0, sign,
+                           cfg.renorm)
 
     h = G0.transport
     t = 0.0
     dt = min_step = cfg.step
     trace = FlowTrace()
-    mu_h = act(h, tensor)  # the bracket in the frame h, reused by k1
+    mu_h = act(h, tensor)  # the bracket in the frame h: the pair's mu
     point = _certified(_evaluate(mu_h, gamma, payload0))
     trace.samples.append(_sample_row(point, t))
     trace.states.append(h.T @ h)
     scal = -0.25 * point[2]
-    iters = 0
-    accepted = 0
-    streak = 0
-    rejected = {"cone": 0, "error": 0, "scal_drift": 0}
+    iters = accepted = streak = 0
+    max_gap = 0.0
+    rejected = {"cone": 0, "error": 0, "scal_drift": 0, "bracket_gap": 0}
     while t < cfg.horizon - 1e-15 and iters < cfg.max_steps:
         iters += 1
         dt_try = min(dt, cfg.horizon - t)
         reason = None
         try:
-            k1 = field(h, mu_h)
-            if cfg.integrator == "euler":
-                h_new = h + dt_try * k1
-                dG = dt_try * (h.T @ k1)
-            else:
-                h2 = h + 0.5 * dt_try * k1
-                k2 = field(h2)
-                h3 = h + 0.5 * dt_try * k2
-                k3 = field(h3)
-                h4 = h + dt_try * k3
-                k4 = field(h4)
-                h_new = h + (dt_try / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                dG = (dt_try / 6.0) * (h.T @ k1 + 2 * h2.T @ k2
-                                       + 2 * h3.T @ k3 + h4.T @ k4)
-            # G plus dt times the RK4 combination of the stage velocities
-            # of G = h^T h must stay positive definite, as it had to when G
+            # one tableau on the pair (and on G by h^T h'); a stage that
+            # overflows fails the attempt as an "error"
+            with np.errstate(over="raise", invalid="raise"):
+                a, k = field(mu_h, h)
+                da, dh, dG = a, k, h.T @ k
+                for c, w in stages:
+                    h_s = h + (c * dt_try) * k
+                    mu_s = SkewTensor(tensor.dim, mu_h.coeffs + (c * dt_try) * a)
+                    a, k = field(mu_s, h_s)
+                    da, dh, dG = da + w * a, dh + w * k, dG + w * (h_s.T @ k)
+                dt_w = dt_try / weight
+                h_new, mu_rk, dG = h + dt_w * dh, mu_h.coeffs + dt_w * da, dt_w * dG
+            # G plus dt times the combination of the stage velocities of
+            # G = h^T h must stay positive definite, as it had to when G
             # was the state: a step across a blow-up of the flow fails here
             if not _positive_definite(h.T @ h + dG + dG.T):
                 reason = "cone"
             else:
+                # re-anchor: the next state is the bracket of the new frame,
+                # and the integrated bracket must stay within GAP_TOL of it
                 mu_new = act(h_new, tensor)
+                gap = float(np.abs(mu_rk - mu_new.coeffs).max(initial=0.0) / max(
+                    np.abs(mu_new.coeffs).max(initial=0.0), 1e-300))
                 scal_new = -0.25 * mu_new.norm2()
                 if cfg.renorm and abs(scal_new - scal) > 1e-8 * max(1.0, abs(scal)):
                     reason = "scal_drift"
-        except (NilmetricError, np.linalg.LinAlgError):
+                elif not gap <= GAP_TOL:
+                    reason = "bracket_gap"
+        except (NilmetricError, np.linalg.LinAlgError, FloatingPointError):
             reason = "error"
         if reason is not None:
             rejected[reason] += 1
@@ -253,6 +262,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
                 raise StepCollapse(f"step underflow at t = {t:.6g}")
             continue
         h, mu_h, scal = h_new, mu_new, scal_new
+        max_gap = max(max_gap, gap)
         t += dt_try
         accepted += 1
         streak += 1
@@ -268,7 +278,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     trace.converged = trace.stop_reason == "horizon"
     trace.stats = {"field_evals": evals, "accepted": accepted,
                    "rejected": rejected, "min_step": min_step,
-                   "final_step": dt}
+                   "final_step": dt, "bracket_gap": max_gap}
     return trace
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilmetric as nm
-from nilmetric.algebra_core import (combine, expm, pair_index,
+from nilmetric.algebra_core import (_full_array, combine, expm, pair_index,
                                     svd_nullspace, sym_basis, skew_basis,
                                     triple_index)
 
@@ -47,12 +47,16 @@ def test_layout_round_trips(t):
 
 
 def test_oracle_layout_matches_full():
-    # the benchmark's oracle hard-codes the coefficient layout
+    # the benchmark's oracle hard-codes the coefficient layout; the scatter
+    # product is exact, on one tensor and on a batch
     oracle = bench_module("oracle")
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
         assert oracle.full_from_pairs(t.coeffs).tobytes() == t.full().tobytes()
+        batch = rng.standard_normal((3, n * (n - 1) // 2, n))
+        want = np.stack([oracle.full_from_pairs(c) for c in batch])
+        assert _full_array(batch).tobytes() == want.tobytes()
 
 
 def _jacobi_by_triples(t):
@@ -239,6 +243,22 @@ def test_act_warns_on_ill_conditioned_map():
     g = np.diag([1.0, 1.0, 1e-14])
     with pytest.warns(RuntimeWarning):
         nm.act(g, t)
+
+
+def test_act_condition_estimate_is_the_1_norm_product(monkeypatch):
+    # act warns exactly when |g|_1 |g^-1|_1, as np.linalg.norm computes
+    # it, exceeds COND_WARN: silent at that product, warning one ulp below
+    rng = np.random.default_rng(5)
+    t = nm.m26_point(1.0, 0.0).tensor
+    for _ in range(20):
+        g = rng.standard_normal((6, 6))
+        cond = np.linalg.norm(g, 1) * np.linalg.norm(np.linalg.inv(g), 1)
+        monkeypatch.setattr("nilmetric.algebra_core.COND_WARN", cond)
+        nm.act(g, t)  # a warning fails the test (pyproject filterwarnings)
+        monkeypatch.setattr("nilmetric.algebra_core.COND_WARN",
+                            np.nextafter(cond, 0.0))
+        with pytest.warns(RuntimeWarning):
+            nm.act(g, t)
 
 
 def test_act_preserves_jacobi():

@@ -11,7 +11,8 @@ import nilmetric as nm
 from conftest import (algebra_reference, coarse_flow_start,
                       count_kernel_calls, fd_defect_jacobian, group_reference,
                       perturbed_m26, reference_direction)
-from nilmetric.flows import _certified, _defect_jacobian, _evaluate
+from nilmetric.flows import (_certified, _defect_jacobian, _evaluate,
+                             _flow_field)
 from nilmetric.structures import _transported_payload
 
 
@@ -109,6 +110,72 @@ def test_flow_does_not_step_across_a_blowup():
                        nm.Metric.identity(3), cfg)
     t_stop = float(str(info.value).split("t = ")[1])
     assert abs(t_stop - 2.0 / 3.0) < 0.01
+
+
+def test_euler_flow_does_not_step_across_a_blowup():
+    # as above with Euler: past t = 2/3 the Euler bracket leaves act(h, mu0)
+    # by more than flows.GAP_TOL, so Euler also collapses at the singularity
+    cfg = nm.FlowConfig(step=0.1, horizon=5.0, renorm=False, sign="plus",
+                        integrator="euler")
+    with pytest.raises(nm.StepCollapse) as info:
+        nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
+                       nm.Metric.identity(3), cfg)
+    t_stop = float(str(info.value).split("t = ")[1])
+    assert abs(t_stop - 2.0 / 3.0) < 0.01
+
+
+def test_flow_rejects_a_stage_that_overflows():
+    # at step 1e100 the stage brackets mu + c dt mu' overflow: each such
+    # attempt is rejected as an "error", never a crash, until the step
+    # collapses
+    cfg = nm.FlowConfig(step=1e100, horizon=1e101, renorm=False,
+                        max_steps=500)
+    with pytest.raises(nm.StepCollapse):
+        nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
+                       nm.Metric.identity(3), cfg)
+
+
+@pytest.mark.parametrize("renorm", [True, False])
+@pytest.mark.parametrize("preset", ["m26", "iwasawa-curve", "hc-g3"])
+def test_flow_field_moves_the_bracket_as_act_does(preset, renorm):
+    # the pair field (mu', h') at a non-identity compatible frame: mu' is
+    # the derivative of act(h + e h', mu0) at e = 0, here by a central
+    # difference of act itself, not of the coboundary.  With e = 1e-6 the
+    # difference's truncation and rounding errors stay below 1e-9 of the
+    # velocity's scale max|A| max|mu| (A = h' h^-1); the bound is 1e-8
+    p = nm.catalog_get(preset)
+    basis = group_reference(p.structure)
+    rng = np.random.default_rng(22)
+    xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    xi *= 0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi)
+    phi = expm(xi)
+    G0 = nm.Metric(phi.T @ phi)
+    h = G0.transport
+    payload0 = _transported_payload(p.structure, G0, allow_scale=True)
+    mu = nm.act(h, p.tensor)
+    velocity, dh = _flow_field(mu, p.structure, h, payload0, -1.0, renorm)
+    e = 1e-6
+    want = (nm.act(h + e * dh, p.tensor).coeffs
+            - nm.act(h - e * dh, p.tensor).coeffs) / (2 * e)
+    scale = np.abs(dh @ np.linalg.inv(h)).max() * np.abs(mu.coeffs).max()
+    assert np.abs(velocity - want).max() <= 1e-8 * scale
+
+
+def test_criterion_8_flows_keep_the_bracket_gap(sp6_basis):
+    # criterion 8's 20 starts: every RK4 step lands within 1e-10 of
+    # act(h_new, mu0), far inside flows.GAP_TOL, so no step is rejected
+    p = nm.m26_point(1.0, 0.0)
+    rng = np.random.default_rng(808)
+    cfg = nm.FlowConfig(step=1e-3, horizon=1.0, sample_every=20)
+    for _ in range(20):
+        coeffs = rng.standard_normal(len(sp6_basis))
+        xi = sum(c * B for c, B in zip(coeffs, sp6_basis))
+        xi *= 0.25 * np.sqrt(len(sp6_basis)) / np.linalg.norm(xi)
+        phi = expm(xi)
+        stats = nm.metric_flow(p.tensor, p.structure,
+                               nm.Metric(phi.T @ phi), cfg).stats
+        assert stats["rejected"]["bracket_gap"] == 0
+        assert stats["bracket_gap"] <= 1e-10
 
 
 def test_sample_every_thins_trace():
@@ -347,8 +414,8 @@ def test_frame_flow_matches_metric_state_rk4(preset):
 
 def test_flow_works_in_the_frame(monkeypatch):
     # one Metric (the final one), one kernel call per field evaluation and
-    # per sample, and one act per stage: the start's act serves the first
-    # stage, and each accepted step's act serves the next step's first stage
+    # per sample, and one act per attempted step: the stages move the
+    # bracket by its velocity, and each step's act re-anchors it
     p = nm.m26_point(1.0, 0.0)
     G0 = nm.Metric(np.diag([1.0, 2.0, 3.0, 1 / 3.0, 1 / 2.0, 1.0]))
     metrics = []
@@ -373,9 +440,11 @@ def test_flow_works_in_the_frame(monkeypatch):
     assert trace.converged
     assert len(metrics) == 1
     assert len(kernel_calls) == 4 * 30 + len(trace.samples)
-    assert len(acts) == 1 + 4 * 30
+    assert len(acts) == 1 + 30
+    assert trace.stats.pop("bracket_gap") <= 1e-10
     assert trace.stats == {"field_evals": 4 * 30, "accepted": 30,
-                           "rejected": {"cone": 0, "error": 0, "scal_drift": 0},
+                           "rejected": {"cone": 0, "error": 0, "scal_drift": 0,
+                                        "bracket_gap": 0},
                            "min_step": 1e-2, "final_step": 1e-2}
 
 
