@@ -104,6 +104,12 @@ def svd_nullspace(M: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity (a broadcast view), shared by every caller."""
+    return np.broadcast_to(np.eye(n), (n, n))
+
+
+@lru_cache(maxsize=None)
 def _pair_scatter(n: int) -> np.ndarray:
     """Read-only matrix taking stored pair rows p to the full array's rows:
     +1 at (i n + j, p) and -1 at (j n + i, p)."""

@@ -1,13 +1,14 @@
 """Ricci operator, scalar curvature, moment map, invariant Ricci operator
 and the normalized curvature functional on brackets.
 
-All curvature comes from one kernel, ``frame_curvature``: given a bracket
-and the structure payload in an orthonormal frame, it returns the
-symmetric Ric and Ric^gamma with |mu|^2.  Each entry point for a metric G
-(the identity by default) starts with ``_frame_data``, which transports
-the bracket once into the G-orthonormal frame and calls the kernel; an
-operator is conjugated back at most once, so operators in the original
-frame are G-self-adjoint rather than plain-symmetric.
+All curvature comes from one kernel, ``frame_curvature``: given a bracket's
+pair rows and full array in an orthonormal frame and the structure's
+projector matrix there (built once per transport), it returns the symmetric
+Ric and Ric^gamma with |mu|^2.  Each entry point for a metric G (the
+identity by default) starts with ``_frame_data``, which transports the
+bracket once into the G-orthonormal frame and calls the kernel; an operator
+is conjugated back at most once, so operators in the original frame are
+G-self-adjoint rather than plain-symmetric.
 """
 
 from __future__ import annotations
@@ -16,43 +17,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Metric, SkewTensor, _from_frame, act, as_tensor
-from .errors import DimensionMismatch, ZeroTensor
+from .algebra_core import (Metric, _flat_pair_index, _from_frame, _identity,
+                           act, as_tensor)
+from .errors import ZeroTensor
 from .structures import (
     Structure,
-    _frame_projection,
+    _frame_projector,
     _transported_payload,
     with_defaults,
 )
 
 
-def _ricci_form(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The bilinear form behind Ric = _ricci_form(T, T) on full (n, n, n)
-    arrays, -1/2 A[p,i,j] B[q,i,j] + 1/4 A[i,j,p] B[i,j,q]; leading axes of
-    A are a batch, so Ric's derivative along dT is the symmetric part of
-    2 _ricci_form(dT, T)."""
-    n = B.shape[-1]
-    first = A.reshape(A.shape[:-3] + (n, n * n))          # pij,qij->pq
-    last = A.reshape(A.shape[:-3] + (n * n, n))           # ijp,ijq->pq
-    return (-0.5 * (first @ B.reshape(n, n * n).T)
-            + 0.25 * (last.swapaxes(-1, -2) @ B.reshape(n * n, n)))
+def _ricci_form(Ca: np.ndarray, Fa: np.ndarray, Cb: np.ndarray,
+                Fb: np.ndarray) -> np.ndarray:
+    """The bilinear form behind Ric = _ricci_form(C, F, C, F) on pair rows C
+    and full arrays F read as (n, n^2), 0.5 (Ca^T Cb - Fa Fb^T); leading axes
+    of Ca and Fa are a batch, folded into the rows of 2-D products (ndarray.dot
+    skips matmul's ufunc dispatch).  With a = b numpy forms both products by
+    the symmetric rank-k update, so Ric is exactly symmetric."""
+    n = Cb.shape[-1]
+    ric = (Ca.swapaxes(-1, -2).reshape(-1, len(Cb)).dot(Cb)
+           - Fa.reshape(-1, n * n).dot(Fb.reshape(n, n * n).T))
+    return 0.5 * ric.reshape(Ca.shape[:-2] + (n, n))
 
 
-def frame_curvature(mu0: SkewTensor, gamma: Structure, payload0) -> tuple:
-    """(Ric, Ric^gamma, |mu|^2) of a bracket in an orthonormal frame, with
-    payload0 the structure's maps in that frame (_transported_payload).
-
-    Both operators are symmetric; Ric^gamma is the orthogonal projection of
-    Ric onto the symmetric structure algebra, Ric itself for NoStructure.
+def frame_curvature(C: np.ndarray, F: np.ndarray, P: np.ndarray) -> tuple:
+    """(Ric, Ric^gamma, |mu|^2) of the bracket with pair rows C and full
+    array F in an orthonormal frame, P the frame's _frame_projector.  Both
+    operators are symmetric: Ric^gamma = P vec(Ric), the projection of Ric
+    onto the symmetric structure algebra, with its upper triangle mirrored.
     """
-    n = mu0.dim
-    if gamma.dim != n:
-        raise DimensionMismatch(f"structure dim {gamma.dim} vs tensor dim {n}")
-    T0 = mu0.full()
-    ric = _ricci_form(T0, T0)
-    ric = 0.5 * (ric + ric.T)
-    ric_gamma = _frame_projection(gamma, payload0, ric)
-    return ric, 0.5 * (ric_gamma + ric_gamma.T), mu0.norm2()
+    ric = _ricci_form(C, F, C, F)
+    ric_gamma = P.dot(ric.ravel())
+    ij, ji = _flat_pair_index(len(ric))
+    ric_gamma[ji] = ric_gamma[ij]
+    return ric, ric_gamma.reshape(ric.shape), 2.0 * float(np.vdot(C, C))
 
 
 def _frame_data(mu, G: Metric = None, gamma: Structure = None,
@@ -62,8 +61,8 @@ def _frame_data(mu, G: Metric = None, gamma: Structure = None,
     prologue."""
     tensor, G, gamma = with_defaults(mu, G, gamma)
     mu0 = act(G.transport, tensor)
-    return (G, mu0) + frame_curvature(
-        mu0, gamma, _transported_payload(gamma, G, allow_scale))
+    P = _frame_projector(gamma, _transported_payload(gamma, G, allow_scale))
+    return (G, mu0) + frame_curvature(mu0.coeffs, mu0.full(), P)
 
 
 def ricci_operator(mu, G: Metric = None) -> np.ndarray:
@@ -81,9 +80,8 @@ def scalar_curvature(mu, G: Metric = None) -> float:
 def moment_map(mu) -> np.ndarray:
     """Moment map value m(mu) at the identity metric: 8 Ric, from the
     kernel's Ricci form (the identity m = 8 Ric)."""
-    T = as_tensor(mu).full()
-    ric = _ricci_form(T, T)
-    return 4.0 * (ric + ric.T)
+    T = as_tensor(mu)
+    return 8.0 * _ricci_form(T.coeffs, T.full(), T.coeffs, T.full())
 
 
 def invariant_ricci(mu, G: Metric = None, gamma: Structure = None,
@@ -113,7 +111,7 @@ def soliton_split(ric_gamma: np.ndarray, norm2: float) -> tuple:
     delta_mu(D) the descent's direction."""
     scal = -0.25 * norm2
     c = 0.0 if scal == 0.0 else float(np.vdot(ric_gamma, ric_gamma)) / scal
-    return c, ric_gamma - c * np.eye(len(ric_gamma))
+    return c, ric_gamma - c * _identity(len(ric_gamma))
 
 
 def functional_F(mu, gamma: Structure = None, G: Metric = None,

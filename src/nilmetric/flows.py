@@ -2,14 +2,15 @@
 sphere-constrained gradient descent of the curvature functional on
 brackets, plus the self-similarity check for certified solitons.
 
-Both call the curvature kernel once per bracket they visit and use the
+Both build the structure's projector matrix once and call the curvature
+kernel on pair rows once per bracket they visit, and both use the
 certificate's split Ric^gamma = c I + D (curvature.soliton_split).  The
 metric flow is a bracket flow (Lauret, "The Ricci flow for simply
 connected nilmanifolds", Comm. Anal. Geom. 19, 2011) on the pair (mu, h),
 G = h^T h and mu = act(h, mu0): h' = s/2 A h and mu' = s/2 delta_mu(A), A
-the Ric^gamma of mu at the identity (D for the normalized flow).  Each
-step forms act(h_new, mu0) once, to test the integrated bracket and as
-the next state.  The frame payload stays fixed.
+the Ric^gamma of mu at the identity (D for the normalized flow).  Its
+stages pass bare pair rows; each step forms act(h_new, mu0) once, to test
+the integrated bracket and as the next state.
 
 The bracket descent runs in two phases.  Phase one follows the orbit
 retraction mu <- normalize(act(expm(-eta * Ric^gamma), mu)) with a
@@ -42,6 +43,7 @@ from .algebra_core import (
     SkewTensor,
     _coboundary_rows,
     _full_array,
+    _identity,
     _to_frame,
     act,
     as_tensor,
@@ -59,7 +61,7 @@ from .errors import (
 from .minimality import certify_minimal, frame_certificate
 from .structures import (
     Structure,
-    _frame_projection,
+    _frame_projector,
     _transported_payload,
     integrability_accepted,
     integrability_residual,
@@ -71,7 +73,7 @@ from .structures import (
 POLISH_THRESHOLD = 1e-3
 ESCAPE_FACTOR = 10.0
 MAX_HALVINGS = 40
-REGROW_AFTER = 8  # accepted steps in a row before a halved step doubles
+REGROW_AFTER = 8  # accepted steps in a row before a halved step first doubles
 MAX_POLISH_ITERS = 40
 GAP_TOL = 1e-6  # metric_flow's bound on |mu_rk4 - act(h_new, mu0)| relative
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))  # RK4 (c, w) after stage 1
@@ -128,9 +130,9 @@ def _unit(tensor: SkewTensor) -> SkewTensor:
     return tensor.scaled(1.0 / norm)
 
 
-def _evaluate(tensor: SkewTensor, gamma: Structure, payload0) -> tuple:
+def _evaluate(tensor: SkewTensor, P: np.ndarray) -> tuple:
     """(tensor, Ric^gamma, |mu|^2) of a bracket at the identity metric."""
-    _, ric_gamma, norm2 = frame_curvature(tensor, gamma, payload0)
+    _, ric_gamma, norm2 = frame_curvature(tensor.coeffs, tensor.full(), P)
     return tensor, ric_gamma, norm2
 
 
@@ -147,15 +149,16 @@ def _sample_row(point: tuple, t: float) -> tuple:
     return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma, norm2), residual)
 
 
-def _flow_field(mu: SkewTensor, gamma: Structure, h: np.ndarray, payload0,
-                sign: float, renorm: bool) -> tuple:
-    """(mu', h') of the pair state (mu, h), mu = act(h, mu0): h' = s/2 A h
-    and mu' = s/2 delta_mu(A) as pair rows, with A = D (or Ric^gamma when
-    not renorm) of mu at the identity."""
-    _, ric_gamma, norm2 = frame_curvature(mu, gamma, payload0)
+def _flow_field(C: np.ndarray, P: np.ndarray, h: np.ndarray, sign: float,
+                renorm: bool) -> tuple:
+    """(mu', h') of the pair state (mu, h), mu = act(h, mu0) with pair rows
+    C: h' = s/2 A h and mu' = s/2 delta_mu(A) as pair rows, with A = D (or
+    Ric^gamma when not renorm) of mu at the identity, from one full array F."""
+    F = _full_array(C)
+    _, ric_gamma, norm2 = frame_curvature(C, F, P)
     A = (0.5 * sign) * (soliton_split(ric_gamma, norm2)[1] if renorm
                         else ric_gamma)
-    return _coboundary_rows(mu.coeffs, mu.full(), A), A @ h
+    return _coboundary_rows(C, F, A), A.dot(h)
 
 
 def _positive_definite(M: np.ndarray) -> bool:
@@ -179,60 +182,63 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     leaves act(h_new, mu0) by more than GAP_TOL of its largest entry or, for
     the normalized flow, when the scalar curvature drifts beyond 1e-8 in one
     step.  After REGROW_AFTER accepted steps in a row the step doubles
-    again, up to cfg.step.  Raises StepCollapse when halving underflows,
-    IncompatibleMetric when G0 is not compatible with the structure.
-    Symplectic trajectories are followed in the conformal cone (the flow
-    scales the form).  The run stops at the horizon or after cfg.max_steps
-    attempted steps; trace.stop_reason says which ("horizon" or
-    "step_cap").  trace.stats counts the field evaluations, the accepted
-    steps and the rejected ones by reason ("cone", "error" for a
-    NilmetricError, LinAlgError or overflow, "scal_drift", "bracket_gap"),
-    the smallest and the final step size, and the largest accepted gap.
+    again, up to cfg.step; each doubled step that fails doubles that wait.
+    A step within rounding of the horizon is stretched to end on it.  Raises
+    StepCollapse when halving underflows, IncompatibleMetric when G0 is not
+    compatible with the structure.  Symplectic trajectories are followed in
+    the conformal cone (the flow scales the form).  The run stops at the
+    horizon or after cfg.max_steps attempted steps; trace.stop_reason says
+    which ("horizon" or "step_cap").  trace.stats counts the field
+    evaluations, the accepted steps and the rejected ones by reason
+    ("cone", "error" for a NilmetricError, LinAlgError or overflow,
+    "scal_drift", "bracket_gap"), the smallest step size and the last one
+    taken, and the largest accepted gap.
     """
     tensor = as_tensor(mu)
     if cfg is None:
         cfg = FlowConfig()
     if gamma is None:
         gamma = no_structure(tensor.dim)
-    payload0 = _transported_payload(gamma, G0, allow_scale=True)
+    P = _frame_projector(gamma, _transported_payload(gamma, G0, allow_scale=True))
     sign = 1.0 if cfg.sign == "plus" else -1.0
     stages = RK4_STAGES if cfg.integrator == "rk4" else ()
     weight = 1.0 + sum(w for _, w in stages)  # 6 for RK4, 1 for Euler
     evals = 0
 
-    def field(mu_state, h_state):
+    def field(mu_rows, h_state):
         nonlocal evals
         evals += 1
-        return _flow_field(mu_state, gamma, h_state, payload0, sign,
-                           cfg.renorm)
+        return _flow_field(mu_rows, P, h_state, sign, cfg.renorm)
 
     h = G0.transport
     t = 0.0
-    dt = min_step = cfg.step
+    dt = min_step = dt_ok = cfg.step
     trace = FlowTrace()
     mu_h = act(h, tensor)  # the bracket in the frame h: the pair's mu
-    point = _certified(_evaluate(mu_h, gamma, payload0))
+    point = _certified(_evaluate(mu_h, P))
     trace.samples.append(_sample_row(point, t))
     trace.states.append(h.T @ h)
     scal = -0.25 * point[2]
-    iters = accepted = streak = 0
+    iters, accepted, streak, wait = 0, 0, 0, REGROW_AFTER
     max_gap = 0.0
     rejected = {"cone": 0, "error": 0, "scal_drift": 0, "bracket_gap": 0}
-    while t < cfg.horizon - 1e-15 and iters < cfg.max_steps:
+    while t < cfg.horizon and iters < cfg.max_steps:
         iters += 1
-        dt_try = min(dt, cfg.horizon - t)
+        # a step that would leave only the rounding t has accumulated (far
+        # below 1e-9 of the horizon) is stretched to land on the horizon
+        last = cfg.horizon - t <= dt + 1e-9 * cfg.horizon
+        dt_try = cfg.horizon - t if last else dt
         reason = None
         try:
             # one tableau on the pair (and on G by h^T h'); a stage that
             # overflows fails the attempt as an "error"
             with np.errstate(over="raise", invalid="raise"):
-                a, k = field(mu_h, h)
-                da, dh, dG = a, k, h.T @ k
+                a, k = field(mu_h.coeffs, h)
+                da, dh, dG = a, k, h.T.dot(k)
                 for c, w in stages:
                     h_s = h + (c * dt_try) * k
-                    mu_s = SkewTensor(tensor.dim, mu_h.coeffs + (c * dt_try) * a)
-                    a, k = field(mu_s, h_s)
-                    da, dh, dG = da + w * a, dh + w * k, dG + w * (h_s.T @ k)
+                    a, k = field(mu_h.coeffs + (c * dt_try) * a, h_s)
+                    da, dh, dG = da + w * a, dh + w * k, dG + w * h_s.T.dot(k)
                 dt_w = dt_try / weight
                 h_new, mu_rk, dG = h + dt_w * dh, mu_h.coeffs + dt_w * da, dt_w * dG
             # G plus dt times the combination of the stage velocities of
@@ -255,26 +261,26 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
             reason = "error"
         if reason is not None:
             rejected[reason] += 1
-            streak = 0
+            # a doubled step that fails doubles the wait before the next
+            streak, wait = 0, 2 * wait if dt > dt_ok else wait
             dt = 0.5 * dt
             min_step = min(min_step, dt)
             if dt < cfg.step * 2.0**-MAX_HALVINGS:
                 raise StepCollapse(f"step underflow at t = {t:.6g}")
             continue
-        h, mu_h, scal = h_new, mu_new, scal_new
+        h, mu_h, scal, dt_ok = h_new, mu_new, scal_new, dt
         max_gap = max(max_gap, gap)
-        t += dt_try
+        t = cfg.horizon if last else t + dt_try
         accepted += 1
         streak += 1
-        if streak == REGROW_AFTER:
-            dt, streak = min(2.0 * dt, cfg.step), 0
-        at_end = t >= cfg.horizon - 1e-15
-        if accepted % cfg.sample_every == 0 or at_end:
-            point = _certified(_evaluate(mu_h, gamma, payload0))
+        if streak >= wait and dt < cfg.step and not last:
+            dt, streak = 2.0 * dt, 0
+        if accepted % cfg.sample_every == 0 or last:
+            point = _certified(_evaluate(mu_h, P))
             trace.samples.append(_sample_row(point, t))
             trace.states.append(h.T @ h)
     trace.final_state = Metric(h.T @ h)
-    trace.stop_reason = "horizon" if t >= cfg.horizon - 1e-15 else "step_cap"
+    trace.stop_reason = "horizon" if t >= cfg.horizon else "step_cap"
     trace.converged = trace.stop_reason == "horizon"
     trace.stats = {"field_evals": evals, "accepted": accepted,
                    "rejected": rejected, "min_step": min_step,
@@ -288,11 +294,10 @@ def _descent_sample(point: tuple, k: int) -> tuple:
     return _sample_row(point, k)
 
 
-def _move(T: SkewTensor, gen: np.ndarray, eta: float, gamma: Structure,
-          payload0) -> tuple:
+def _move(T: SkewTensor, gen: np.ndarray, eta: float, P: np.ndarray) -> tuple:
     """The evaluated bracket normalize(act(expm(eta * gen), T)): a step
     along the structure-group orbit of T."""
-    return _evaluate(_unit(act(expm(eta * gen), T)), gamma, payload0)
+    return _evaluate(_unit(act(expm(eta * gen), T)), P)
 
 
 def bracket_descent(mu, gamma: Structure = None, *,
@@ -335,13 +340,14 @@ def bracket_descent(mu, gamma: Structure = None, *,
         raise InvalidBracket(
             f"starting bracket violates integrability (residual {res0:.3e})"
         )
-    payload0 = _transported_payload(gamma, Metric.identity(tensor.dim))
+    identity = Metric.identity(tensor.dim)
+    P = _frame_projector(gamma, _transported_payload(gamma, identity))
 
     trace = FlowTrace()
     stats = trace.stats = {"iterations": 0, "backtracks": 0,
                            "polish_iterations": 0, "polish_backtracks": 0,
                            "jacobians": 0, "rank_min": None, "rank_max": None}
-    point = _certified(_evaluate(tensor, gamma, payload0))
+    point = _certified(_evaluate(tensor, P))
     trace.samples.append(_descent_sample(point, 0))
     f_cur = trace.samples[-1][2]
     best = (np.inf, point)
@@ -363,7 +369,7 @@ def bracket_descent(mu, gamma: Structure = None, *,
         eta = 1.0
         accepted = None
         while eta > 2.0**-MAX_HALVINGS:
-            cand = _move(point[0], -point[1], eta, gamma, payload0)
+            cand = _move(point[0], -point[1], eta, P)
             f_new = F_of_ricci(cand[1], cand[2])
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
                 accepted = (cand, f_new)
@@ -381,10 +387,8 @@ def bracket_descent(mu, gamma: Structure = None, *,
             polish_from = best[1]
     reason = "iteration_cap"
     if polish_from is not None:
-        basis = np.stack(
-            structure_algebra(gamma, Metric.identity(tensor.dim)).sym_basis)
-        point, reason = _polish(polish_from, basis, gamma, payload0,
-                                tol_converge, trace, f_cur)
+        basis = np.stack(structure_algebra(gamma, identity).sym_basis)
+        point, reason = _polish(polish_from, basis, P, tol_converge, trace, f_cur)
     if stop is None:
         stop = "converged" if point[4].norm() <= tol_converge else reason
     trace.final_state = point[0]
@@ -393,8 +397,7 @@ def bracket_descent(mu, gamma: Structure = None, *,
     return trace
 
 
-def _defect_jacobian(point: tuple, basis: np.ndarray, gamma: Structure,
-                     payload0) -> np.ndarray:
+def _defect_jacobian(point: tuple, basis: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Derivative at xi = 0 of the certified defect delta_mu(D) of
     unit(act(expm(sum_b xi_b B_b), T)), T the unit bracket of the certified
     point: one column per basis element B_b (basis stacked (k, n, n)), rows
@@ -402,8 +405,8 @@ def _defect_jacobian(point: tuple, basis: np.ndarray, gamma: Structure,
 
     Exact, by the moment map: the orbit's velocity along B is delta_T(B),
     and its tangential part on the unit sphere dU moves Ric by the symmetric
-    part of 2 _ricci_form(dU, T).  The projection onto the structure algebra
-    is linear and the sphere holds scal = -|mu|^2 / 4 fixed, so with
+    part of 2 _ricci_form(dU, T), projected onto the structure algebra by
+    one product with P.  The sphere holds scal = -|mu|^2 / 4 fixed, so with
     Ric^gamma = c I + D, dc = 2 tr(Ric^gamma dRic^gamma) / scal and
     dD = dRic^gamma - dc I; the column is delta_dU(D) + delta_T(dD).
     """
@@ -414,15 +417,15 @@ def _defect_jacobian(point: tuple, basis: np.ndarray, gamma: Structure,
     radial = np.tensordot(V, coeffs, 2) / np.sum(coeffs * coeffs)
     dU = V - radial[:, None, None] * coeffs
     dU_full = _full_array(dU)
-    dR = _ricci_form(dU_full, full)
-    dR = _frame_projection(gamma, payload0, dR + dR.swapaxes(1, 2))
+    dR = _ricci_form(dU, dU_full, coeffs, full)
+    dR = ((dR + dR.swapaxes(1, 2)).reshape(len(basis), -1) @ P.T).reshape(dR.shape)
     dc = np.tensordot(dR, ric_gamma, 2) / (-0.125 * norm2)
-    dD = dR - dc[:, None, None] * np.eye(tensor.dim)
+    dD = dR - dc[:, None, None] * _identity(tensor.dim)
     cols = _coboundary_rows(dU, dU_full, D) + _coboundary_rows(coeffs, full, dD)
     return cols.reshape(len(basis), -1).T
 
 
-def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
+def _polish(point: tuple, basis: np.ndarray, P: np.ndarray,
             tol_converge: float, trace: FlowTrace, f_cur: float):
     """Damped Gauss-Newton on the coefficient vector of the certified
     point's defect delta_mu(D), solving for coordinates xi in the basis of
@@ -444,7 +447,7 @@ def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
             reason = "converged"
             break
         dvec = point[4].coeffs.ravel()
-        J = _defect_jacobian(point, basis, gamma, payload0)
+        J = _defect_jacobian(point, basis, P)
         # Truncated-SVD solve: the map has an exact nullspace, the
         # stabilizer of the bracket in the structure group, whose singular
         # values are rounding noise; they must be discarded or the step
@@ -462,7 +465,7 @@ def _polish(point: tuple, basis: np.ndarray, gamma: Structure, payload0,
         alpha = 1.0
         accepted = None
         while alpha > 2.0**-25:
-            cand = _certified(_move(tensor, gen, alpha, gamma, payload0))
+            cand = _certified(_move(tensor, gen, alpha, P))
             f_new = F_of_ricci(cand[1], cand[2])
             if (cand[4].norm() < nd
                     and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur))):

@@ -18,8 +18,9 @@ kappa = 1 unless a scale is allowed.  Divided by sqrt(kappa), the maps give
 the one projector onto the whole structure algebra, (X + sum_k s_k(X)) /
 (1 + k) with the reflection s(X) = J X^T J for the symplectic map and
 -J X J for each complex map (_frame_projection).  It maps symmetric to
-symmetric and skew to skew; on symmetric maps it gives invariant_projection
-and Ric^gamma, and structure_algebra's bases span its image.
+symmetric and skew to skew; structure_algebra's bases span its image.  On
+symmetric maps it gives invariant_projection, and Ric^gamma as one matrix
+built once per transport (_frame_projector).
 Integrability and the abelian test are one defect array per condition:
 the closedness rows of a form, one array per complex map.
 """
@@ -254,6 +255,19 @@ def _frame_projection(gamma: Structure, payload0, X: np.ndarray) -> np.ndarray:
         A = J0 @ Xt @ J0
         out = out + A if symplectic else out - A
     return out / (1 + len(payload0))
+
+
+def _frame_projector(gamma: Structure, payload0) -> np.ndarray:
+    """The (n^2, n^2) matrix of _frame_projection on the row-major vec(X) of
+    a symmetric X, where J X^T J = J X J: (I + s sum_k kron(J_k, J_k^T)) /
+    (1 + k), with s = +1 for the symplectic map and -1 for complex maps."""
+    n = gamma.dim
+    maps = np.reshape(payload0, (-1, n, n))
+    w = 1.0 / (1 + len(maps))
+    P = np.einsum("kai,kjb->abij", (w if gamma.tag == SYMPLECTIC else -w) * maps,
+                  maps).reshape(n * n, n * n)
+    P.flat[::n * n + 1] += w
+    return P
 
 
 @dataclass(frozen=True)

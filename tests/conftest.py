@@ -136,7 +136,7 @@ def two_step_reference(mu, gamma=None):
     return 2.0 * p - q, (q - p) * P1 + 2.0 * (q - p) * P2
 
 
-def fd_defect_jacobian(point, basis, gamma, payload0, eps=1e-7):
+def fd_defect_jacobian(point, basis, P, eps=1e-7):
     """Reference for flows._defect_jacobian: one forward difference of the
     certified defect per basis element, each a step to
     unit(act(expm(eps B), T)) and a fresh certificate there."""
@@ -144,21 +144,20 @@ def fd_defect_jacobian(point, basis, gamma, payload0, eps=1e-7):
     J = np.empty((dvec.size, len(basis)))
     for i, B in enumerate(basis):
         moved = nm.act(expm(eps * B), tensor)
-        moved = _certified(_evaluate(moved.scaled(1.0 / moved.norm()), gamma,
-                                     payload0))
+        moved = _certified(_evaluate(moved.scaled(1.0 / moved.norm()), P))
         J[:, i] = (moved[4].coeffs.ravel() - dvec) / eps
     return J
 
 
 def count_kernel_calls(monkeypatch, module: str) -> list:
     """Wrap the curvature kernel as `module` calls it; the returned list
-    gets the coefficient bytes of each bracket it is called on."""
+    gets the pair rows' bytes of each bracket it is called on."""
     calls = []
     kernel = nm.curvature.frame_curvature
 
-    def counted(mu0, gamma, payload0):
-        calls.append(mu0.coeffs.tobytes())
-        return kernel(mu0, gamma, payload0)
+    def counted(C, F, P):
+        calls.append(C.tobytes())
+        return kernel(C, F, P)
 
     monkeypatch.setattr(f"{module}.frame_curvature", counted)
     return calls

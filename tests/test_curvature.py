@@ -134,10 +134,11 @@ def test_soliton_split_is_tangential_and_certified():
     p = nm.m26_point(1.0, 0.0)
     payload0 = nm.structures._transported_payload(p.structure,
                                                   nm.Metric.identity(6))
+    P = nm.structures._frame_projector(p.structure, payload0)
     g = np.eye(6) + 0.2 * np.random.default_rng(5).standard_normal((6, 6))
     for mu in (nm.act(g, p.tensor), p.tensor):
-        _, ric_gamma, norm2 = nm.curvature.frame_curvature(mu, p.structure,
-                                                           payload0)
+        _, ric_gamma, norm2 = nm.curvature.frame_curvature(mu.coeffs,
+                                                           mu.full(), P)
         c, D = nm.curvature.soliton_split(ric_gamma, norm2)
         assert np.array_equal(D, ric_gamma - c * np.eye(6))
         assert abs(nm.inner(nm.coboundary(mu, D), mu)) <= 1e-13 * norm2 * (
@@ -199,9 +200,11 @@ def test_frame_kernel_matches_entry_points():
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     G = nm.Metric(np.linalg.matrix_power(np.eye(6) + 0.1 * xi, 2))
     h, hinv = G.transport, G.transport_inv
-    payload0 = nm.structures._transported_payload(p.structure, G)
+    P = nm.structures._frame_projector(
+        p.structure, nm.structures._transported_payload(p.structure, G))
+    mu0 = nm.act(h, p.tensor)
     ric0, ric_gamma0, norm2 = nm.curvature.frame_curvature(
-        nm.act(h, p.tensor), p.structure, payload0)
+        mu0.coeffs, mu0.full(), P)
     assert np.abs(ric0 - ric0.T).max() == 0.0
     assert np.abs(ric_gamma0 - ric_gamma0.T).max() == 0.0
     ric = nm.ricci_operator(p.tensor, G)
@@ -210,6 +213,52 @@ def test_frame_kernel_matches_entry_points():
     assert np.abs(h @ ric_gamma @ hinv - ric_gamma0).max() < 1e-12
     assert -0.25 * norm2 == pytest.approx(nm.scalar_curvature(p.tensor, G),
                                           rel=1e-14)
+
+
+def _direct_sum(p, q):
+    """(bracket, structure) of the direct sum of two presets of one class:
+    block-diagonal full array and block-diagonal maps."""
+    n1, n = p.tensor.dim, p.tensor.dim + q.tensor.dim
+    T = np.zeros((n, n, n))
+    T[:n1, :n1, :n1], T[n1:, n1:, n1:] = p.tensor.full(), q.tensor.full()
+
+    def block(A, B):
+        M = np.zeros((n, n))
+        M[:n1, :n1], M[n1:, n1:] = A, B
+        return M
+
+    maps = zip(p.structure.maps() or (p.structure.payload,),
+               q.structure.maps() or (q.structure.payload,))
+    build = getattr(nm, f"{p.structure.tag}_structure")
+    return nm.SkewTensor.from_full(T), build(*(block(A, B) for A, B in maps))
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "m26", "hc-g3", "m26+m26",
+                                  "hc-g3+hc-g3"])
+def test_frame_kernel_ricci_matches_the_reference(case):
+    # on pair rows: Ric = 0.5 (C^T C - F F^T) is the moment map reference
+    # / 8 and exactly symmetric (both products are the symmetric rank-k
+    # update), and the mirrored Ric^gamma = P vec(Ric) is exactly symmetric
+    # too; n = 3, 6, 8, 12 and 16, at generic brackets of each orbit
+    names = case.split("+")
+    p = nm.catalog_get(names[0])
+    tensor, gamma = ((p.tensor, p.structure) if len(names) == 1
+                     else _direct_sum(p, nm.catalog_get(names[1])))
+    n = tensor.dim
+    rng = np.random.default_rng(24)
+    mu = nm.act(np.eye(n) + 0.2 * rng.standard_normal((n, n)), tensor)
+    payload0 = nm.structures._transported_payload(gamma,
+                                                  nm.Metric.identity(n))
+    P = nm.structures._frame_projector(gamma, payload0)
+    ric, ric_gamma, norm2 = nm.curvature.frame_curvature(mu.coeffs,
+                                                         mu.full(), P)
+    assert np.abs(ric - moment_map_reference(mu) / 8.0).max() <= 1e-14 * (
+        1.0 + mu.norm2())
+    assert np.array_equal(ric, ric.T)
+    assert np.array_equal(ric_gamma, ric_gamma.T)
+    want = nm.structures._frame_projection(gamma, payload0, ric)
+    assert np.abs(ric_gamma - want).max() <= 1e-14 * (1.0 + np.abs(ric).max())
+    assert norm2 == mu.norm2()
 
 
 @pytest.mark.parametrize("name, length", [
@@ -223,8 +272,9 @@ def test_frame_payload_is_a_tuple_of_maps(name, length):
     assert isinstance(payload0, tuple) and len(payload0) == length
     for J0 in payload0:
         assert np.abs(J0 @ J0 + np.eye(n)).max() < TOL
-    ric, ric_gamma, norm2 = nm.curvature.frame_curvature(p.tensor, p.structure,
-                                                         payload0)
+    ric, ric_gamma, norm2 = nm.curvature.frame_curvature(
+        p.tensor.coeffs, p.tensor.full(),
+        nm.structures._frame_projector(p.structure, payload0))
     assert np.array_equal(ric, nm.ricci_operator(p.tensor))
     assert np.array_equal(ric_gamma,
                           nm.invariant_ricci(p.tensor, I, p.structure))

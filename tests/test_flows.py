@@ -13,7 +13,7 @@ from conftest import (algebra_reference, coarse_flow_start,
                       perturbed_m26, reference_direction)
 from nilmetric.flows import (_certified, _defect_jacobian, _evaluate,
                              _flow_field)
-from nilmetric.structures import _transported_payload
+from nilmetric.structures import _frame_projector, _transported_payload
 
 
 def minus_coboundary_of_D(T, gamma):
@@ -135,6 +135,30 @@ def test_flow_rejects_a_stage_that_overflows():
                        nm.Metric.identity(3), cfg)
 
 
+def test_flow_rejects_a_stage_whose_pair_rows_turn_nan(monkeypatch):
+    # a NaN raises no floating-point error, but the stage whose pair rows
+    # are NaN gives a NaN frame velocity, and act rejects the non-finite
+    # frame: the attempt is an "error", and the halved step goes on
+    field = nm.flows._flow_field
+    calls = []
+
+    def poisoned(C, P, h, sign, renorm):
+        calls.append(1)
+        velocity, dh = field(C, P, h, sign, renorm)
+        return (np.full_like(velocity, np.nan) if len(calls) == 1
+                else velocity), dh
+
+    monkeypatch.setattr("nilmetric.flows._flow_field", poisoned)
+    trace = nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
+                           nm.Metric.identity(3),
+                           nm.FlowConfig(step=1e-2, horizon=0.1))
+    assert trace.converged
+    assert trace.stats["rejected"] == {"cone": 0, "error": 1, "scal_drift": 0,
+                                       "bracket_gap": 0}
+    assert trace.stats["min_step"] == 5e-3
+    assert np.isfinite(trace.final_state.matrix).all()
+
+
 @pytest.mark.parametrize("renorm", [True, False])
 @pytest.mark.parametrize("preset", ["m26", "iwasawa-curve", "hc-g3"])
 def test_flow_field_moves_the_bracket_as_act_does(preset, renorm):
@@ -151,9 +175,10 @@ def test_flow_field_moves_the_bracket_as_act_does(preset, renorm):
     phi = expm(xi)
     G0 = nm.Metric(phi.T @ phi)
     h = G0.transport
-    payload0 = _transported_payload(p.structure, G0, allow_scale=True)
+    P = _frame_projector(p.structure, _transported_payload(
+        p.structure, G0, allow_scale=True))
     mu = nm.act(h, p.tensor)
-    velocity, dh = _flow_field(mu, p.structure, h, payload0, -1.0, renorm)
+    velocity, dh = _flow_field(mu.coeffs, P, h, -1.0, renorm)
     e = 1e-6
     want = (nm.act(h + e * dh, p.tensor).coeffs
             - nm.act(h - e * dh, p.tensor).coeffs) / (2 * e)
@@ -476,9 +501,38 @@ def test_coarse_flow_regrows_its_step():
         assert np.allclose(steps[i - 8:i], steps[i - 1], rtol=1e-9, atol=0.0)
 
 
+def test_coarse_flow_ends_on_the_horizon_and_backs_off():
+    # the last step is stretched onto the horizon rather than leaving a
+    # step of rounding size after it, so every accepted step is at least
+    # min_step and final_step is the last step taken; a doubling that fails
+    # doubles the wait before the next one (13 rejections without it)
+    p, G0 = coarse_flow_start()
+    trace = nm.metric_flow(p.tensor, p.structure, G0, nm.FlowConfig(step=0.05))
+    stats = trace.stats
+    times = [row[0] for row in trace.samples]
+    steps = np.diff(times)
+    assert trace.converged
+    assert times[-1] == 1.0
+    assert steps.min() >= stats["min_step"] * (1.0 - 1e-9)
+    assert abs(steps[-1] - stats["final_step"]) <= 1e-12
+    assert sum(stats["rejected"].values()) <= 6
+    scals = [row[1] for row in trace.samples]
+    assert abs(scals[-1] - scals[0]) <= 1e-6 * abs(scals[0])
+    # over 10,000 steps of 1e-4 t falls 9e-14 short of the horizon, which
+    # took one more step of that size before
+    fine = nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
+                          nm.Metric.identity(3),
+                          nm.FlowConfig(step=1e-4, integrator="euler",
+                                        renorm=False, sample_every=1000))
+    assert fine.stats["accepted"] == 10_000
+    assert fine.samples[-1][0] == 1.0
+
+
 def test_flow_step_grows_back_to_cfg_step():
-    # hc-g3 from a large perturbation: early steps of cfg.step drift scal,
-    # and once the flow calms down the step returns to cfg.step
+    # hc-g3 from a large perturbation: steps of cfg.step drift scal, and the
+    # halved step grows back to cfg.step and tries it again.  On this run
+    # every step of cfg.step drifts scal (through t = 8), so the flow ends
+    # on the halved step, the last one it took
     p = nm.catalog_get("hc-g3")
     basis = group_reference(p.structure)
     rng = np.random.default_rng(0)
@@ -487,9 +541,9 @@ def test_flow_step_grows_back_to_cfg_step():
     cfg = nm.FlowConfig(step=0.05)
     trace = nm.metric_flow(p.tensor, p.structure, nm.Metric(phi.T @ phi), cfg)
     assert trace.converged
-    assert trace.stats["rejected"]["scal_drift"] > 0
+    assert trace.stats["rejected"]["scal_drift"] > 1
     assert trace.stats["min_step"] < cfg.step
-    assert trace.stats["final_step"] == cfg.step
+    assert trace.stats["final_step"] == trace.stats["min_step"] == cfg.step / 2
 
 
 def test_descent_calls_kernel_once_per_bracket(sp6_basis, monkeypatch):
@@ -538,17 +592,16 @@ def test_defect_jacobian_matches_finite_differences(name, structured):
     identity = nm.Metric.identity(n)
     basis = algebra_reference(gamma).sym_basis
     group = group_reference(p.structure)
-    payload0 = _transported_payload(gamma, identity)
+    P = _frame_projector(gamma, _transported_payload(gamma, identity))
     rng = np.random.default_rng(13)
     for _ in range(3):
         xi = sum(c * B for c, B in zip(rng.standard_normal(len(group)), group))
         T = nm.act(expm(0.3 * xi / np.linalg.norm(xi)), p.tensor)
         T = T.plus(nm.SkewTensor(n, rng.standard_normal(T.coeffs.shape)),
                    0.05 / np.sqrt(T.coeffs.size))
-        point = _certified(_evaluate(T.scaled(1.0 / T.norm()), gamma,
-                                     payload0))
-        got = _defect_jacobian(point, np.stack(basis), gamma, payload0)
-        want = fd_defect_jacobian(point, basis, gamma, payload0)
+        point = _certified(_evaluate(T.scaled(1.0 / T.norm()), P))
+        got = _defect_jacobian(point, np.stack(basis), P)
+        want = fd_defect_jacobian(point, basis, P)
         assert got.shape == want.shape == (T.coeffs.size, len(basis))
         assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 

@@ -13,6 +13,7 @@ from nilmetric.algebra_core import combine, expm
 from nilmetric.defaults import TOL_COMPAT
 from nilmetric.structures import (
     _frame_projection,
+    _frame_projector,
     _transported_payload,
     abelian_residual,
     integrability_defect,
@@ -350,6 +351,25 @@ def test_frame_projection_is_the_orthogonal_projector(index, entries):
     batch = np.stack([X, Y, Z])
     batch = batch + batch.swapaxes(1, 2)
     assert np.array_equal(P(batch), _literal_projection(gamma, payload0, batch))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(FRAMES))),
+       st.lists(_entries, min_size=64, max_size=64))
+def test_frame_projector_is_the_projection_on_symmetric_maps(index, entries):
+    # the kernel's (n^2, n^2) matrix on the row-major vec(S) of a symmetric S
+    # is _frame_projection(S) to rounding.  The product is symmetric only to
+    # rounding (BLAS rounds mirrored rows differently), so the kernel mirrors
+    # its upper triangle (test_curvature checks that image is exact)
+    gamma, payload0 = FRAMES[index]
+    n = gamma.dim
+    X = np.reshape(entries[:n * n], (n, n))
+    S = X + X.T
+    P = _frame_projector(gamma, payload0)
+    assert P.shape == (n * n, n * n)
+    PS = (P @ S.ravel()).reshape(n, n)
+    bound = 1e-15 * (1.0 + np.abs(S).max())
+    assert np.abs(PS - _frame_projection(gamma, payload0, S)).max() <= bound
 
 
 def test_structure_algebra_members_satisfy_frame_constraint():
