@@ -96,8 +96,7 @@ def cmd_certify(args) -> int:
 def cmd_flow(args) -> int:
     problem = load_problem(args.file)
     cfg = FlowConfig(step=args.step, horizon=args.horizon, sign=args.sign,
-                     renorm=not args.unnormalized,
-                     integrator=args.integrator)
+                     renorm=not args.unnormalized)
     trace = metric_flow(problem.tensor, problem.structure, problem.metric, cfg)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=["plus", "minus"], default="minus")
     p.add_argument("--unnormalized", action="store_true",
                    help="drop the scalar-curvature-preserving trace term")
-    p.add_argument("--integrator", choices=["rk4", "euler"], default="rk4")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="write the (t, scal, F, cert_residual) trace as CSV")
     p.set_defaults(func=cmd_flow)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,17 +99,17 @@ class FlowConfig:
     horizon: float = 1.0
     sign: str = "minus"
     renorm: bool = True
-    integrator: str = "rk4"
     max_steps: int = 50_000
     sample_every: int = 1
+    # not a field: the one integrator, named for bench/tracing.py's step
+    # counter, which reads cfg.integrator
+    integrator = "rk4"
 
     def __post_init__(self):
         _require_positive("step", self.step)
         _require_positive("horizon", self.horizon)
         if self.sign not in ("plus", "minus"):
             raise ValueError(f"sign must be plus or minus, got {self.sign!r}")
-        if self.integrator not in ("rk4", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         _require_count("max_steps", self.max_steps)
         _require_count("sample_every", self.sample_every)
 
@@ -130,23 +131,24 @@ def _unit(tensor: SkewTensor) -> SkewTensor:
     return tensor.scaled(1.0 / norm)
 
 
-def _evaluate(tensor: SkewTensor, P: np.ndarray) -> tuple:
-    """(tensor, Ric^gamma, |mu|^2) of a bracket at the identity metric."""
+# a bracket at the identity metric with its curvature and certificate:
+# Ric^gamma = c I + D, the certificate residual and the defect delta_mu(D)
+_Point = namedtuple("_Point", "tensor ric_gamma norm2 c D residual defect")
+
+
+def _certified(tensor: SkewTensor, P: np.ndarray) -> _Point:
+    """The certified point of a bracket: one kernel call and one
+    certificate, made once for each bracket the flow samples or the
+    descent visits."""
     _, ric_gamma, norm2 = frame_curvature(tensor.coeffs, tensor.full(), P)
-    return tensor, ric_gamma, norm2
+    return _Point(tensor, ric_gamma, norm2,
+                  *frame_certificate(tensor, ric_gamma, norm2))
 
 
-def _certified(point: tuple) -> tuple:
-    """The evaluated bracket with its certificate residual and defect
-    delta_mu(D) appended: (tensor, Ric^gamma, |mu|^2, residual, defect)."""
-    _, _, residual, defect = frame_certificate(*point)
-    return point + (residual, defect)
-
-
-def _sample_row(point: tuple, t: float) -> tuple:
+def _sample_row(point: _Point, t: float) -> tuple:
     """Trace row (t, scal, F, certificate residual) of a certified bracket."""
-    _, ric_gamma, norm2, residual, _ = point
-    return (float(t), -0.25 * norm2, F_of_ricci(ric_gamma, norm2), residual)
+    return (float(t), -0.25 * point.norm2,
+            F_of_ricci(point.ric_gamma, point.norm2), point.residual)
 
 
 def _flow_field(C: np.ndarray, P: np.ndarray, h: np.ndarray, sign: float,
@@ -161,14 +163,6 @@ def _flow_field(C: np.ndarray, P: np.ndarray, h: np.ndarray, sign: float,
     return _coboundary_rows(C, F, A), A.dot(h)
 
 
-def _positive_definite(M: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def metric_flow(mu, gamma: Structure, G0: Metric,
                 cfg: FlowConfig = None) -> FlowTrace:
     """Integrate dG/dt = s G Ric^gamma_G, with the trace term that freezes
@@ -176,23 +170,23 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
 
     The state is the pair (mu, h) of the module docstring, h starting at
     the Cholesky transport of G0; G is formed only at the samples and at the
-    end.  Fixed-step integration (rk4 or euler); a step is rejected and
-    halved when its change of G leaves the positive-definite cone, when the
-    new frame is singular or a stage overflows, when the integrated bracket
-    leaves act(h_new, mu0) by more than GAP_TOL of its largest entry or, for
-    the normalized flow, when the scalar curvature drifts beyond 1e-8 in one
-    step.  After REGROW_AFTER accepted steps in a row the step doubles
-    again, up to cfg.step; each doubled step that fails doubles that wait.
-    A step within rounding of the horizon is stretched to end on it.  Raises
-    StepCollapse when halving underflows, IncompatibleMetric when G0 is not
-    compatible with the structure.  Symplectic trajectories are followed in
-    the conformal cone (the flow scales the form).  The run stops at the
-    horizon or after cfg.max_steps attempted steps; trace.stop_reason says
-    which ("horizon" or "step_cap").  trace.stats counts the field
-    evaluations, the accepted steps and the rejected ones by reason
-    ("cone", "error" for a NilmetricError, LinAlgError or overflow,
-    "scal_drift", "bracket_gap"), the smallest step size and the last one
-    taken, and the largest accepted gap.
+    end.  Fixed-step RK4; a step is rejected and halved when the new frame
+    is singular or a stage overflows, when the integrated bracket leaves
+    act(h_new, mu0) by more than GAP_TOL of its largest entry (a step
+    across a blow-up of the flow fails here) or, for the normalized flow,
+    when the scalar curvature drifts beyond 1e-8 in one step.  After
+    REGROW_AFTER accepted steps in a row the step doubles again, up to
+    cfg.step; each doubled step that fails doubles that wait.  A step
+    within rounding of the horizon is stretched to end on it.  Raises
+    StepCollapse when halving underflows, naming the rejections by reason,
+    and IncompatibleMetric when G0 is not compatible with the structure.
+    Symplectic trajectories are followed in the conformal cone (the flow
+    scales the form).  The run stops at the horizon or after cfg.max_steps
+    attempted steps; trace.stop_reason says which ("horizon" or
+    "step_cap").  trace.stats counts the field evaluations, the accepted
+    steps and the rejected ones by reason ("error" for a NilmetricError or
+    overflow, "scal_drift", "bracket_gap"), the smallest step size and the
+    last one taken, and the largest accepted gap.
     """
     tensor = as_tensor(mu)
     if cfg is None:
@@ -201,8 +195,6 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         gamma = no_structure(tensor.dim)
     P = _frame_projector(gamma, _transported_payload(gamma, G0, allow_scale=True))
     sign = 1.0 if cfg.sign == "plus" else -1.0
-    stages = RK4_STAGES if cfg.integrator == "rk4" else ()
-    weight = 1.0 + sum(w for _, w in stages)  # 6 for RK4, 1 for Euler
     evals = 0
 
     def field(mu_rows, h_state):
@@ -215,13 +207,13 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     dt = min_step = dt_ok = cfg.step
     trace = FlowTrace()
     mu_h = act(h, tensor)  # the bracket in the frame h: the pair's mu
-    point = _certified(_evaluate(mu_h, P))
+    point = _certified(mu_h, P)
     trace.samples.append(_sample_row(point, t))
     trace.states.append(h.T @ h)
-    scal = -0.25 * point[2]
+    scal = -0.25 * point.norm2
     iters, accepted, streak, wait = 0, 0, 0, REGROW_AFTER
     max_gap = 0.0
-    rejected = {"cone": 0, "error": 0, "scal_drift": 0, "bracket_gap": 0}
+    rejected = {"error": 0, "scal_drift": 0, "bracket_gap": 0}
     while t < cfg.horizon and iters < cfg.max_steps:
         iters += 1
         # a step that would leave only the rounding t has accumulated (far
@@ -230,34 +222,29 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         dt_try = cfg.horizon - t if last else dt
         reason = None
         try:
-            # one tableau on the pair (and on G by h^T h'); a stage that
-            # overflows fails the attempt as an "error"
+            # one RK4 tableau on the pair; a stage that overflows fails the
+            # attempt as an "error"
             with np.errstate(over="raise", invalid="raise"):
                 a, k = field(mu_h.coeffs, h)
-                da, dh, dG = a, k, h.T.dot(k)
-                for c, w in stages:
-                    h_s = h + (c * dt_try) * k
-                    a, k = field(mu_h.coeffs + (c * dt_try) * a, h_s)
-                    da, dh, dG = da + w * a, dh + w * k, dG + w * h_s.T.dot(k)
-                dt_w = dt_try / weight
-                h_new, mu_rk, dG = h + dt_w * dh, mu_h.coeffs + dt_w * da, dt_w * dG
-            # G plus dt times the combination of the stage velocities of
-            # G = h^T h must stay positive definite, as it had to when G
-            # was the state: a step across a blow-up of the flow fails here
-            if not _positive_definite(h.T @ h + dG + dG.T):
-                reason = "cone"
-            else:
-                # re-anchor: the next state is the bracket of the new frame,
-                # and the integrated bracket must stay within GAP_TOL of it
-                mu_new = act(h_new, tensor)
-                gap = float(np.abs(mu_rk - mu_new.coeffs).max(initial=0.0) / max(
-                    np.abs(mu_new.coeffs).max(initial=0.0), 1e-300))
-                scal_new = -0.25 * mu_new.norm2()
-                if cfg.renorm and abs(scal_new - scal) > 1e-8 * max(1.0, abs(scal)):
-                    reason = "scal_drift"
-                elif not gap <= GAP_TOL:
-                    reason = "bracket_gap"
-        except (NilmetricError, np.linalg.LinAlgError, FloatingPointError):
+                da, dh = a, k
+                for c, w in RK4_STAGES:
+                    a, k = field(mu_h.coeffs + (c * dt_try) * a,
+                                 h + (c * dt_try) * k)
+                    da, dh = da + w * a, dh + w * k
+                h_new = h + (dt_try / 6.0) * dh
+                mu_rk = mu_h.coeffs + (dt_try / 6.0) * da
+            # re-anchor: the next state is the bracket of the new frame
+            # (act rejects a singular or non-finite one), and the integrated
+            # bracket must stay within GAP_TOL of it
+            mu_new = act(h_new, tensor)
+            gap = float(np.abs(mu_rk - mu_new.coeffs).max(initial=0.0) / max(
+                np.abs(mu_new.coeffs).max(initial=0.0), 1e-300))
+            scal_new = -0.25 * mu_new.norm2()
+            if cfg.renorm and abs(scal_new - scal) > 1e-8 * max(1.0, abs(scal)):
+                reason = "scal_drift"
+            elif not gap <= GAP_TOL:
+                reason = "bracket_gap"
+        except (NilmetricError, FloatingPointError):
             reason = "error"
         if reason is not None:
             rejected[reason] += 1
@@ -266,7 +253,8 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
             dt = 0.5 * dt
             min_step = min(min_step, dt)
             if dt < cfg.step * 2.0**-MAX_HALVINGS:
-                raise StepCollapse(f"step underflow at t = {t:.6g}")
+                raise StepCollapse(f"step underflow after rejections "
+                                   f"{rejected} at t = {t:.6g}")
             continue
         h, mu_h, scal, dt_ok = h_new, mu_new, scal_new, dt
         max_gap = max(max_gap, gap)
@@ -276,7 +264,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         if streak >= wait and dt < cfg.step and not last:
             dt, streak = 2.0 * dt, 0
         if accepted % cfg.sample_every == 0 or last:
-            point = _certified(_evaluate(mu_h, P))
+            point = _certified(mu_h, P)
             trace.samples.append(_sample_row(point, t))
             trace.states.append(h.T @ h)
     trace.final_state = Metric(h.T @ h)
@@ -288,16 +276,16 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     return trace
 
 
-def _descent_sample(point: tuple, k: int) -> tuple:
+def _descent_sample(point: _Point, k: int) -> tuple:
     """The descent's trace row (iteration, scal, F, certificate residual);
     a name apart from the flow's _sample_row, so profiles tell them apart."""
     return _sample_row(point, k)
 
 
-def _move(T: SkewTensor, gen: np.ndarray, eta: float, P: np.ndarray) -> tuple:
-    """The evaluated bracket normalize(act(expm(eta * gen), T)): a step
+def _move(T: SkewTensor, gen: np.ndarray, eta: float, P: np.ndarray) -> _Point:
+    """The certified bracket normalize(act(expm(eta * gen), T)): a step
     along the structure-group orbit of T."""
-    return _evaluate(_unit(act(expm(eta * gen), T)), P)
+    return _certified(_unit(act(expm(eta * gen), T)), P)
 
 
 def bracket_descent(mu, gamma: Structure = None, *,
@@ -310,9 +298,9 @@ def bracket_descent(mu, gamma: Structure = None, *,
     structure algebra at the identity, preserving the Jacobi identity and
     the integrability constraint to rounding; at a converged fixed point
     the minimality certificate passes.  Phase one's generator is
-    -Ric^gamma; the Gauss-Newton phase (_polish) solves for xi.  One
-    coboundary delta_mu(D) per accepted bracket gives its direction, its
-    stop tests and its trace row.
+    -Ric^gamma; the Gauss-Newton phase (_polish) solves for xi.  Every
+    bracket visited, line-search trials included, is certified once, and
+    its defect delta_mu(D) gives the direction, the stop tests and the row.
 
     The run converges when the direction norm |delta_mu(D)| reaches
     tol_converge; phase one makes at most max_iter iterations.  The trace
@@ -347,14 +335,14 @@ def bracket_descent(mu, gamma: Structure = None, *,
     stats = trace.stats = {"iterations": 0, "backtracks": 0,
                            "polish_iterations": 0, "polish_backtracks": 0,
                            "jacobians": 0, "rank_min": None, "rank_max": None}
-    point = _certified(_evaluate(tensor, P))
+    point = _certified(tensor, P)
     trace.samples.append(_descent_sample(point, 0))
     f_cur = trace.samples[-1][2]
     best = (np.inf, point)
     polish_from = None
     stop = None  # set when phase one ends the run
     for _ in range(max_iter):
-        nd = point[4].norm()
+        nd = point.defect.norm()
         if nd < best[0]:
             best = (nd, point)
         if nd <= tol_converge:
@@ -366,20 +354,17 @@ def bracket_descent(mu, gamma: Structure = None, *,
         if nd > ESCAPE_FACTOR * best[0] and best[0] < 1e-2:
             polish_from = best[1]
             break
-        eta = 1.0
-        accepted = None
-        while eta > 2.0**-MAX_HALVINGS:
-            cand = _move(point[0], -point[1], eta, P)
-            f_new = F_of_ricci(cand[1], cand[2])
+        for halvings in range(MAX_HALVINGS):
+            eta = 0.5**halvings
+            cand = _move(point.tensor, -point.ric_gamma, eta, P)
+            f_new = F_of_ricci(cand.ric_gamma, cand.norm2)
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
-                accepted = (cand, f_new)
                 break
             stats["backtracks"] += 1
-            eta *= 0.5
-        if accepted is None:
+        else:
             stop = "line_search"
             break
-        point, f_cur = _certified(accepted[0]), accepted[1]
+        point, f_cur = cand, f_new
         stats["iterations"] += 1
         trace.samples.append(_descent_sample(point, len(trace.samples)))
     else:
@@ -390,14 +375,14 @@ def bracket_descent(mu, gamma: Structure = None, *,
         basis = np.stack(structure_algebra(gamma, identity).sym_basis)
         point, reason = _polish(polish_from, basis, P, tol_converge, trace, f_cur)
     if stop is None:
-        stop = "converged" if point[4].norm() <= tol_converge else reason
-    trace.final_state = point[0]
+        stop = "converged" if point.defect.norm() <= tol_converge else reason
+    trace.final_state = point.tensor
     trace.stop_reason = stop
     trace.converged = stop == "converged"
     return trace
 
 
-def _defect_jacobian(point: tuple, basis: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _defect_jacobian(point: _Point, basis: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Derivative at xi = 0 of the certified defect delta_mu(D) of
     unit(act(expm(sum_b xi_b B_b), T)), T the unit bracket of the certified
     point: one column per basis element B_b (basis stacked (k, n, n)), rows
@@ -410,9 +395,8 @@ def _defect_jacobian(point: tuple, basis: np.ndarray, P: np.ndarray) -> np.ndarr
     Ric^gamma = c I + D, dc = 2 tr(Ric^gamma dRic^gamma) / scal and
     dD = dRic^gamma - dc I; the column is delta_dU(D) + delta_T(dD).
     """
-    tensor, ric_gamma, norm2 = point[:3]
+    tensor, ric_gamma, norm2 = point.tensor, point.ric_gamma, point.norm2
     coeffs, full = tensor.coeffs, tensor.full()
-    D = soliton_split(ric_gamma, norm2)[1]
     V = _coboundary_rows(coeffs, full, basis)
     radial = np.tensordot(V, coeffs, 2) / np.sum(coeffs * coeffs)
     dU = V - radial[:, None, None] * coeffs
@@ -421,11 +405,12 @@ def _defect_jacobian(point: tuple, basis: np.ndarray, P: np.ndarray) -> np.ndarr
     dR = ((dR + dR.swapaxes(1, 2)).reshape(len(basis), -1) @ P.T).reshape(dR.shape)
     dc = np.tensordot(dR, ric_gamma, 2) / (-0.125 * norm2)
     dD = dR - dc[:, None, None] * _identity(tensor.dim)
-    cols = _coboundary_rows(dU, dU_full, D) + _coboundary_rows(coeffs, full, dD)
+    cols = (_coboundary_rows(dU, dU_full, point.D)
+            + _coboundary_rows(coeffs, full, dD))
     return cols.reshape(len(basis), -1).T
 
 
-def _polish(point: tuple, basis: np.ndarray, P: np.ndarray,
+def _polish(point: _Point, basis: np.ndarray, P: np.ndarray,
             tol_converge: float, trace: FlowTrace, f_cur: float):
     """Damped Gauss-Newton on the coefficient vector of the certified
     point's defect delta_mu(D), solving for coordinates xi in the basis of
@@ -442,11 +427,11 @@ def _polish(point: tuple, basis: np.ndarray, P: np.ndarray,
     stalls = 0
     reason = "iteration_cap"
     for _ in range(MAX_POLISH_ITERS):
-        tensor, nd = point[0], point[4].norm()
+        tensor, nd = point.tensor, point.defect.norm()
         if nd <= tol_converge:
             reason = "converged"
             break
-        dvec = point[4].coeffs.ravel()
+        dvec = point.defect.coeffs.ravel()
         J = _defect_jacobian(point, basis, P)
         # Truncated-SVD solve: the map has an exact nullspace, the
         # stabilizer of the bracket in the structure group, whose singular
@@ -462,22 +447,18 @@ def _polish(point: tuple, basis: np.ndarray, P: np.ndarray,
         if step_norm > 1.0:
             step = step / step_norm
         gen = combine(step, basis)
-        alpha = 1.0
-        accepted = None
-        while alpha > 2.0**-25:
-            cand = _certified(_move(tensor, gen, alpha, P))
-            f_new = F_of_ricci(cand[1], cand[2])
-            if (cand[4].norm() < nd
+        for halvings in range(25):
+            cand = _move(tensor, gen, 0.5**halvings, P)
+            f_new = F_of_ricci(cand.ric_gamma, cand.norm2)
+            if (cand.defect.norm() < nd
                     and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur))):
-                accepted = cand
                 break
             stats["polish_backtracks"] += 1
-            alpha *= 0.5
-        if accepted is None:
+        else:
             reason = "line_search"
             break
-        stalls = stalls + 1 if accepted[4].norm() > 0.99 * nd else 0
-        point, f_cur = accepted, min(f_cur, f_new)
+        stalls = stalls + 1 if cand.defect.norm() > 0.99 * nd else 0
+        point, f_cur = cand, min(f_cur, f_new)
         stats["polish_iterations"] += 1
         trace.samples.append(_descent_sample(point, len(trace.samples)))
         if stalls >= 3:

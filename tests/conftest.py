@@ -10,7 +10,7 @@ from scipy.linalg import expm, null_space
 import nilmetric as nm
 from nilmetric.algebra_core import (_from_frame, as_tensor, combine,
                                     skew_basis, svd_nullspace, sym_basis)
-from nilmetric.flows import _certified, _evaluate
+from nilmetric.flows import _certified
 from nilmetric.structures import _transported_payload
 
 
@@ -140,12 +140,12 @@ def fd_defect_jacobian(point, basis, P, eps=1e-7):
     """Reference for flows._defect_jacobian: one forward difference of the
     certified defect per basis element, each a step to
     unit(act(expm(eps B), T)) and a fresh certificate there."""
-    tensor, dvec = point[0], point[4].coeffs.ravel()
+    tensor, dvec = point.tensor, point.defect.coeffs.ravel()
     J = np.empty((dvec.size, len(basis)))
     for i, B in enumerate(basis):
         moved = nm.act(expm(eps * B), tensor)
-        moved = _certified(_evaluate(moved.scaled(1.0 / moved.norm()), P))
-        J[:, i] = (moved[4].coeffs.ravel() - dvec) / eps
+        moved = _certified(moved.scaled(1.0 / moved.norm()), P)
+        J[:, i] = (moved.defect.coeffs.ravel() - dvec) / eps
     return J
 
 

@@ -197,8 +197,7 @@ def test_flow_csv_and_summary(capsys, tmp_path):
     assert abs(payload["scal_final"] - payload["scal_initial"]) < 1e-8
     assert payload["stats"].pop("bracket_gap") <= 1e-10
     assert payload["stats"] == {"field_evals": 80, "accepted": 20,
-                                "rejected": {"cone": 0, "error": 0,
-                                             "scal_drift": 0,
+                                "rejected": {"error": 0, "scal_drift": 0,
                                              "bracket_gap": 0},
                                 "min_step": 1e-2, "final_step": 1e-2}
     lines = csv_path.read_text().strip().splitlines()
@@ -342,6 +341,17 @@ def test_bad_numeric_flags_exit_2(capsys, tmp_path, argv, flag):
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err
+
+
+def test_flow_has_no_integrator_flag(capsys, tmp_path):
+    # RK4 is the flow's only integrator; the removed flag is a usage error
+    path = write_problem(tmp_path, "heis.json", nm.heisenberg().tensor)
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", path, "--integrator", "euler"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --integrator euler" in captured.err
 
 
 def test_all_json_outputs_carry_format_header(capsys, tmp_path):
