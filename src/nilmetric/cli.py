@@ -22,14 +22,15 @@ from .algebra_core import (Bracket, Metric, act, combine, expm,
                            jacobi_accepted, jacobi_residual, lower_central_dims)
 from .catalog import catalog_get, catalog_list
 from .curvature import curvature_report
-from .defaults import TOL_COMPAT, TOL_DISTINGUISH, certification_tolerance
+from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import FamilyConstraint, NilmetricError, ParseError
 from .flows import (MAX_ITER, TOL_CONVERGE, FlowConfig, bracket_descent,
                     metric_flow)
 from .minimality import certify_minimal, distinguish, fingerprint
 from .problemfile import jsonable, load_problem, point_to_problem
-from .structures import (compatibility_residual, integrability_accepted,
-                         integrability_residual, structure_algebra)
+from .structures import (compatibility_accepted, compatibility_residual,
+                         integrability_accepted, integrability_residual,
+                         structure_algebra)
 
 
 def _emit(payload) -> None:
@@ -52,7 +53,7 @@ def cmd_check(args) -> int:
         "jacobi": jacobi_accepted(jac, tensor),
         "nilpotent": bool(nilpotent),
         "integrability": integrability_accepted(integ, tensor),
-        "compatibility": bool(compat <= TOL_COMPAT),
+        "compatibility": compatibility_accepted(compat),
     }
     report = {
         "dim": problem.dim,

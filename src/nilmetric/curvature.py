@@ -54,14 +54,13 @@ def frame_curvature(C: np.ndarray, F: np.ndarray, P: np.ndarray) -> tuple:
     return ric, ric_gamma.reshape(ric.shape), 2.0 * float(np.vdot(C, C))
 
 
-def _frame_data(mu, G: Metric = None, gamma: Structure = None,
-                allow_scale: bool = False) -> tuple:
+def _frame_data(mu, G: Metric = None, gamma: Structure = None) -> tuple:
     """(G, mu0, Ric, Ric^gamma, |mu|^2) in the G-orthonormal frame, with the
     identity metric and no structure as defaults: every entry point's
     prologue."""
     tensor, G, gamma = with_defaults(mu, G, gamma)
     mu0 = act(G.transport, tensor)
-    P = _frame_projector(gamma, _transported_payload(gamma, G, allow_scale))
+    P = _frame_projector(gamma, _transported_payload(gamma, G))
     return (G, mu0) + frame_curvature(mu0.coeffs, mu0.full(), P)
 
 
@@ -84,15 +83,13 @@ def moment_map(mu) -> np.ndarray:
     return 8.0 * _ricci_form(T.coeffs, T.full(), T.coeffs, T.full())
 
 
-def invariant_ricci(mu, G: Metric = None, gamma: Structure = None,
-                    allow_scale: bool = False) -> np.ndarray:
+def invariant_ricci(mu, G: Metric = None, gamma: Structure = None) -> np.ndarray:
     """Projection of the Ricci operator onto the symmetric structure algebra.
 
-    Equals the Ricci operator itself for NoStructure.  allow_scale admits
-    symplectic metrics compatible only up to a positive factor (see
-    invariant_projection).
+    Equals the Ricci operator itself for NoStructure.  G may be compatible
+    with a symplectic form up to a positive factor (see invariant_projection).
     """
-    G, _, _, ric_gamma, _ = _frame_data(mu, G, gamma, allow_scale)
+    G, _, _, ric_gamma, _ = _frame_data(mu, G, gamma)
     return _from_frame(ric_gamma, G)
 
 
@@ -114,15 +111,14 @@ def soliton_split(ric_gamma: np.ndarray, norm2: float) -> tuple:
     return c, ric_gamma - c * _identity(len(ric_gamma))
 
 
-def functional_F(mu, gamma: Structure = None, G: Metric = None,
-                 allow_scale: bool = False) -> float:
+def functional_F(mu, gamma: Structure = None, G: Metric = None) -> float:
     """Normalized squared size of the invariant Ricci operator,
     tr((Ric^gamma)^2) / |mu|^4; scale-invariant in mu.
 
     Evaluated at the identity metric by default; a metric argument
     evaluates the same quantity for the transported bracket.
     """
-    _, _, _, ric_gamma, norm2 = _frame_data(mu, G, gamma, allow_scale)
+    _, _, _, ric_gamma, norm2 = _frame_data(mu, G, gamma)
     if norm2 == 0.0:
         raise ZeroTensor("the functional is undefined at mu = 0")
     return F_of_ricci(ric_gamma, norm2)
@@ -139,15 +135,14 @@ class CurvatureReport:
     eigen_ric_gamma: list
 
 
-def curvature_report(mu, G: Metric = None, gamma: Structure = None,
-                     allow_scale: bool = False) -> CurvatureReport:
+def curvature_report(mu, G: Metric = None, gamma: Structure = None) -> CurvatureReport:
     """All curvature invariants of (mu, G, gamma) in one immutable record.
 
     Spectra are those of the transported (symmetric) operators, sorted
     ascending.  The moment field is always the identity-metric moment map
     of the raw tensor.  F_value is 0 for the zero tensor.
     """
-    G, _, ric0, ric_gamma0, norm2 = _frame_data(mu, G, gamma, allow_scale)
+    G, _, ric0, ric_gamma0, norm2 = _frame_data(mu, G, gamma)
     return CurvatureReport(
         ric=_from_frame(ric0, G),
         scal=-0.25 * norm2,

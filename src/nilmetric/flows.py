@@ -180,10 +180,11 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
     within rounding of the horizon is stretched to end on it.  Raises
     StepCollapse when halving underflows, naming the rejections by reason,
     and IncompatibleMetric when G0 is not compatible with the structure.
-    Symplectic trajectories are followed in the conformal cone (the flow
-    scales the form).  The run stops at the horizon or after cfg.max_steps
-    attempted steps; trace.stop_reason says which ("horizon" or
-    "step_cap").  trace.stats counts the field evaluations, the accepted
+    The normalized flow moves a symplectic metric by a factor too: it
+    stays in the cone of metrics compatible up to a positive factor, which
+    every entry point accepts.  The run stops at the horizon or after
+    cfg.max_steps attempted steps; trace.stop_reason says which ("horizon"
+    or "step_cap").  trace.stats counts the field evaluations, the accepted
     steps and the rejected ones by reason ("error" for a NilmetricError or
     overflow, "scal_drift", "bracket_gap"), the smallest step size and the
     last one taken, and the largest accepted gap.
@@ -193,7 +194,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         cfg = FlowConfig()
     if gamma is None:
         gamma = no_structure(tensor.dim)
-    P = _frame_projector(gamma, _transported_payload(gamma, G0, allow_scale=True))
+    P = _frame_projector(gamma, _transported_payload(gamma, G0))
     sign = 1.0 if cfg.sign == "plus" else -1.0
     evals = 0
 
@@ -494,7 +495,7 @@ def soliton_selfsimilarity_check(mu, gamma: Structure = None,
         cfg = FlowConfig()
     if not cfg.renorm:
         raise ValueError("the self-similarity check needs the normalized flow")
-    cert = certify_minimal(tensor, G, gamma, allow_scale=True)
+    cert = certify_minimal(tensor, G, gamma)
     if not cert.minimal:
         raise NotCertifiedError(
             f"certificate residual {cert.residual:.3e} exceeds {cert.tolerance:.1e}"

@@ -64,8 +64,7 @@ def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
 
 
 def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
-                    tol: float = None,
-                    allow_scale: bool = False) -> Certificate:
+                    tol: float = None) -> Certificate:
     """Test whether the invariant Ricci operator equals c I + (derivation).
 
     Returns a Certificate whose verdict is Minimal iff the relative
@@ -76,7 +75,7 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     """
     if tol is None:  # read first: a bad NILMETRIC_TOL is reported first
         tol = certification_tolerance()
-    G, mu0, _, ric_gamma0, norm2 = _frame_data(mu, G, gamma, allow_scale)
+    G, mu0, _, ric_gamma0, norm2 = _frame_data(mu, G, gamma)
     c, D0, residual, _ = frame_certificate(mu0, ric_gamma0, norm2)
     verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
     return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
@@ -124,13 +123,12 @@ class Fingerprint:
     lcs_dims: list
 
 
-def fingerprint(mu, G: Metric = None, gamma: Structure = None,
-                allow_scale: bool = False) -> Fingerprint:
+def fingerprint(mu, G: Metric = None, gamma: Structure = None) -> Fingerprint:
     """Spectral and series data of (mu, G, gamma), invariant under
     structure-preserving orthogonal basis changes."""
     if not isinstance(mu, Bracket):
         mu = Bracket(mu)
-    report = curvature_report(mu, G, gamma, allow_scale=allow_scale)
+    report = curvature_report(mu, G, gamma)
     return Fingerprint(
         dim=mu.dim,
         eigen_ric=report.eigen_ric,

@@ -14,7 +14,8 @@ A Structure is a tagged payload:
 
 In the G-orthonormal frame every class is one tuple of maps J_k
 (_frame_maps), and G is compatible iff J_k^T J_k = kappa I for each, with
-kappa = 1 unless a scale is allowed.  Divided by sqrt(kappa), the maps give
+kappa = tr(J_k^T J_k) / n: the scale is free, as sp(s omega) = sp(omega),
+and a complex map forces kappa = 1.  Divided by sqrt(kappa), the maps give
 the one projector onto the whole structure algebra, (X + sum_k s_k(X)) /
 (1 + k) with the reflection s(X) = J X^T J for the symplectic map and
 -J X J for each complex map (_frame_projection).  It maps symmetric to
@@ -143,11 +144,11 @@ def metric_jmap(gamma: Structure, G: Metric) -> np.ndarray:
     return np.linalg.solve(G.matrix, gamma.payload)
 
 
-def _frame_maps(gamma: Structure, G: Metric, allow_scale: bool = False) -> tuple:
+def _frame_maps(gamma: Structure, G: Metric) -> tuple:
     """(maps, residual): the structure's maps in the G-orthonormal frame
     (h^-T omega h^-1 for a form, h J h^-1 per complex map), each divided by
     sqrt(kappa), and the compatibility residual max_k |J_k^T J_k - kappa I|_max
-    / kappa, with kappa = tr(J_k^T J_k) / n under allow_scale and 1 otherwise."""
+    / kappa, with kappa = tr(J_k^T J_k) / n (1 for a compatible complex map)."""
     if gamma.dim != G.dim:
         raise DimensionMismatch(f"structure dim {gamma.dim} vs metric dim {G.dim}")
     n = gamma.dim
@@ -159,18 +160,16 @@ def _frame_maps(gamma: Structure, G: Metric, allow_scale: bool = False) -> tuple
     maps, residuals = [], []
     for M in frame:
         MtM = M.T @ M
-        kappa = np.trace(MtM) / n if allow_scale else 1.0
+        kappa = np.trace(MtM) / n
         residuals.append(np.abs(MtM - kappa * np.eye(n)).max() / kappa)
         maps.append(M / np.sqrt(kappa))
     return tuple(maps), float(np.max(residuals, initial=0.0))
 
 
-def _transported_payload(gamma: Structure, G: Metric,
-                         allow_scale: bool = False) -> tuple:
-    """The frame maps of _frame_maps; raises IncompatibleMetric when their
-    residual exceeds TOL_COMPAT."""
-    maps, residual = _frame_maps(gamma, G, allow_scale)
-    if not residual <= TOL_COMPAT:
+def _transported_payload(gamma: Structure, G: Metric) -> tuple:
+    """_frame_maps' maps; raises IncompatibleMetric unless compatibility_accepted."""
+    maps, residual = _frame_maps(gamma, G)
+    if not compatibility_accepted(residual):
         raise IncompatibleMetric(
             f"metric is not compatible with the structure (residual {residual:.3g})")
     return maps
@@ -180,6 +179,11 @@ def compatibility_residual(gamma: Structure, G: Metric) -> float:
     """Relative deviation of G from the structure's compatible metrics,
     measured in the G-orthonormal frame (_frame_maps); 0 iff compatible."""
     return _frame_maps(gamma, G)[1]
+
+
+def compatibility_accepted(residual: float) -> bool:
+    """The compatibility acceptance test, residual <= TOL_COMPAT."""
+    return residual <= TOL_COMPAT
 
 
 def _closedness_rows(omega: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -301,19 +305,17 @@ def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
     return StructureAlgebra(*parts)
 
 
-def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray,
-                         allow_scale: bool = False) -> np.ndarray:
+def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a G-symmetric map S onto the symmetric part
     of the structure algebra, in the trace inner product, by the reflection
-    formulas (J = J_G for symplectic).  allow_scale admits symplectic
-    metrics compatible only up to a positive factor (see
-    _transported_payload).
+    formulas (J = J_G / sqrt(kappa) for symplectic, see _frame_maps);
+    raises IncompatibleMetric as _transported_payload does.
     """
     S = np.asarray(S, dtype=float)
     n = gamma.dim
     if S.shape != (n, n):
         raise DimensionMismatch(f"operator shape {S.shape} vs dim {n}")
-    payload0 = _transported_payload(gamma, G, allow_scale)
+    payload0 = _transported_payload(gamma, G)
     S0 = _to_frame(S, G)
     P0 = _frame_projection(gamma, payload0, 0.5 * (S0 + S0.T))
     return _from_frame(0.5 * (P0 + P0.T), G)

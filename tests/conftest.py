@@ -167,8 +167,7 @@ def reference_direction(tensor, gamma):
     """Reference for the descent direction -delta_mu(D): minus the
     tangential part of delta_mu(Ric^gamma), with the radial part taken out
     through the inner product instead of the split Ric^gamma = c I + D."""
-    ric_gamma = nm.invariant_ricci(tensor, nm.Metric.identity(tensor.dim),
-                                   gamma, allow_scale=True)
+    ric_gamma = nm.invariant_ricci(tensor, nm.Metric.identity(tensor.dim), gamma)
     delta = nm.coboundary(tensor, ric_gamma)
     radial = nm.inner(delta, tensor) / tensor.norm2()
     return delta.plus(tensor, -radial).scaled(-1.0)

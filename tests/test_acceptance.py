@@ -199,8 +199,7 @@ def test_criterion_10_descent_correctness(sp6_basis):
             "descent not monotone"
         assert trace.converged
         worst_f = max(worst_f, abs(fs[-1] - f_target))
-        cert = nm.certify_minimal(trace.final_state, gamma=p.structure,
-                                  allow_scale=True)
+        cert = nm.certify_minimal(trace.final_state, gamma=p.structure)
         assert cert.minimal
 
     # finite-difference agreement of the descent direction at random
@@ -213,7 +212,7 @@ def test_criterion_10_descent_correctness(sp6_basis):
     while checked < 50:
         T = perturbed_m26(sp6_basis, fd_rng, scale=0.35)
         T = T.scaled(1.0 / T.norm())
-        D = nm.certify_minimal(T, gamma=p.structure, allow_scale=True).D
+        D = nm.certify_minimal(T, gamma=p.structure).D
         d = nm.coboundary(T, D).scaled(-1.0)
         nd = d.norm()
         if nd < 1e-4:
@@ -223,7 +222,7 @@ def test_criterion_10_descent_correctness(sp6_basis):
         def f_at(s):
             cand = nm.SkewTensor.from_full(
                 np.cos(s) * T.full() + np.sin(s) * u.full())
-            return nm.functional_F(cand, gamma=p.structure, allow_scale=True)
+            return nm.functional_F(cand, gamma=p.structure)
 
         fd = (f_at(eps) - f_at(-eps)) / (2.0 * eps)
         worst_fd = max(worst_fd, abs(fd + nd) / nd)

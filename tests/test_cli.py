@@ -296,6 +296,23 @@ def test_check_and_bracket_share_the_jacobi_bound(capsys, tmp_path, side):
             nm.Bracket(mu)
 
 
+def test_symplectic_metric_compatible_up_to_a_factor_passes(capsys, tmp_path):
+    # sp(s omega) = sp(omega): m26 at G = 2 I, and at the identity with the
+    # form scaled by 3, is checked, certified and fingerprinted like at I
+    p = nm.m26_point(1.0, 0.0)
+    scaled_form = nm.symplectic_structure(3.0 * p.structure.payload)
+    for structure, metric in ((p.structure, nm.Metric(2.0 * np.eye(6))),
+                              (scaled_form, None)):
+        path = write_problem(tmp_path, "scaled.json", p.tensor, structure, metric)
+        code, out, _ = run(capsys, ["check", path])
+        assert code == 0
+        assert json.loads(out)["checks"]["compatibility"] is True
+        code, out, _ = run(capsys, ["certify", path])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Minimal"
+        assert run(capsys, ["fingerprint", path])[0] == 0
+
+
 def test_fingerprint_and_distinguish(capsys, tmp_path):
     a = nm.complex_curve(1.0)
     b = nm.complex_curve(3.0)

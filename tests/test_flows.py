@@ -19,7 +19,7 @@ from nilmetric.structures import _frame_projector, _transported_payload
 
 def minus_coboundary_of_D(T, gamma):
     """The descent direction -delta_T(D), D from the certificate of T."""
-    D = nm.certify_minimal(T, gamma=gamma, allow_scale=True).D
+    D = nm.certify_minimal(T, gamma=gamma).D
     return nm.coboundary(T, D).scaled(-1.0)
 
 
@@ -195,8 +195,7 @@ def test_flow_field_moves_the_bracket_as_act_does(preset, renorm):
     phi = expm(xi)
     G0 = nm.Metric(phi.T @ phi)
     h = G0.transport
-    P = _frame_projector(p.structure, _transported_payload(
-        p.structure, G0, allow_scale=True))
+    P = _frame_projector(p.structure, _transported_payload(p.structure, G0))
     mu = nm.act(h, p.tensor)
     velocity, dh = _flow_field(mu.coeffs, P, h, -1.0, renorm)
     e = 1e-6
@@ -295,8 +294,7 @@ def test_descent_from_perturbed_start(sp6_basis):
     assert trace.converged
     assert fs[-1] == pytest.approx(7.0 / 160.0, abs=1e-8)
     cert = nm.certify_minimal(trace.final_state,
-                              gamma=nm.m26_point(1.0, 0.0).structure,
-                              allow_scale=True)
+                              gamma=nm.m26_point(1.0, 0.0).structure)
     assert cert.minimal
     assert nm.jacobi_residual(trace.final_state) < 1e-8
 
@@ -320,7 +318,7 @@ def test_descent_direction_is_sphere_gradient(sp6_basis):
         def f_at(s):
             cand = nm.SkewTensor.from_full(
                 np.cos(s) * T.full() + np.sin(s) * u.full())
-            return nm.functional_F(cand, gamma=gamma, allow_scale=True)
+            return nm.functional_F(cand, gamma=gamma)
 
         fd = (f_at(eps) - f_at(-eps)) / (2.0 * eps)
         assert abs(fd + nd) <= 1e-5 * nd
@@ -519,6 +517,23 @@ def test_coarse_flow_regrows_its_step():
     for i in grown:
         assert i >= 8
         assert np.allclose(steps[i - 8:i], steps[i - 1], rtol=1e-9, atol=0.0)
+
+
+def test_flow_final_metric_is_accepted_by_every_entry_point():
+    # the normalized flow scales a symplectic metric, so its end point is
+    # compatible up to a factor only; every entry point accepts it and
+    # agrees with the flow's own last sample
+    p, G0 = coarse_flow_start()
+    trace = nm.metric_flow(p.tensor, p.structure, G0, nm.FlowConfig())
+    G = trace.final_state
+    assert nm.compatibility_residual(p.structure, G) <= 1e-8
+    _, scal, F, residual = trace.samples[-1]
+    cert = nm.certify_minimal(p.tensor, G, p.structure)
+    assert cert.residual == pytest.approx(residual, rel=1e-9)
+    assert nm.functional_F(p.tensor, p.structure, G) == pytest.approx(F, rel=1e-9)
+    assert nm.curvature_report(p.tensor, G, p.structure).F_value == pytest.approx(
+        F, rel=1e-9)
+    assert nm.fingerprint(p.tensor, G, p.structure).scal == pytest.approx(scal, rel=1e-9)
 
 
 def test_coarse_flow_ends_on_the_horizon_and_backs_off():

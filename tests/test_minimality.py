@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import nilmetric as nm
+from nilmetric.algebra_core import combine, expm
 
-from conftest import two_step_reference
+from conftest import algebra_reference, two_step_reference
 
 TOL = 1e-12
 
@@ -175,6 +176,29 @@ def test_certify_with_noncompatible_metric_raises():
     G = nm.Metric(np.diag([1.0, 2, 1, 1, 1, 1]))
     with pytest.raises(nm.IncompatibleMetric):
         nm.certify_minimal(nm.complex_curve(1.0).tensor, G=G, gamma=gamma)
+
+
+@pytest.mark.parametrize("preset", ["m26", "iwasawa-curve", "hc-g3"])
+def test_metric_scale_covariance(preset):
+    # at s G the bracket in the orthonormal frame is mu0 / sqrt(s): F is
+    # unchanged and Ric^gamma and c scale by 1 / s, for every structure
+    p = nm.catalog_get(preset)
+    rng = np.random.default_rng(71)
+    basis = algebra_reference(p.structure).sym_basis
+    xi = combine(rng.standard_normal(len(basis)), basis)
+    phi = expm(0.5 * xi / np.linalg.norm(xi))
+    G = phi.T @ phi
+    base = nm.curvature_report(p.tensor, nm.Metric(G), p.structure)
+    c = nm.certify_minimal(p.tensor, nm.Metric(G), p.structure).c
+    eig = np.array(base.eigen_ric_gamma)
+    for s in (1e-8, 1e-2, 1e2, 1e8):
+        Gs = nm.Metric(s * G)
+        report = nm.curvature_report(p.tensor, Gs, p.structure)
+        assert report.F_value == pytest.approx(base.F_value, rel=1e-12)
+        got = s * np.array(report.eigen_ric_gamma)
+        assert np.abs(got - eig).max() <= 1e-12 * np.abs(eig).max()
+        cs = nm.certify_minimal(p.tensor, Gs, p.structure).c
+        assert s * cs == pytest.approx(c, rel=1e-12)
 
 
 def test_certificate_scale_behavior():

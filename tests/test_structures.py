@@ -105,14 +105,14 @@ def test_metric_jmap_and_compatibility_at_identity():
     assert nm.compatibility_residual(gamma, G) < TOL
 
 
-def test_scaled_metric_needs_allow_scale():
+def test_projection_ignores_the_scale_of_a_symplectic_metric():
+    # sp(s omega) = sp(omega): the projection at 2I is the one at I
     gamma = nm.standard_structure("symplectic", 6)
     G = nm.Metric(2.0 * np.eye(6))
     R = nm.ricci_operator(nm.m26_point(1.0, 0.0).tensor, G)
-    with pytest.raises(nm.IncompatibleMetric):
-        invariant_projection(gamma, G, R)
-    P = invariant_projection(gamma, G, R, allow_scale=True)
-    assert np.all(np.isfinite(P))
+    P = invariant_projection(gamma, G, R)
+    P1 = invariant_projection(gamma, nm.Metric.identity(6), R)
+    assert np.abs(P - P1).max() <= 1e-14 * np.abs(R).max()
 
 
 def test_closedness_golden_family():
@@ -170,21 +170,48 @@ def test_abelian_residual_needs_complex_maps(gamma):
 @pytest.mark.parametrize("preset", ["m26", "iwasawa-curve", "hc-g3"])
 def test_scaled_compatible_metric_is_accepted(preset, scale):
     # (act(phi^-1, mu), phi^T phi) is isometric to the minimal (mu, I) for
-    # phi in the structure group; compatibility with complex maps does not
-    # see the metric's scale, a symplectic form fixes it unless allow_scale
+    # phi in the structure group; compatibility does not see the metric's
+    # scale, since sp(s omega) = sp(omega) and J^2 = -I fixes no scale
     p = nm.catalog_get(preset)
-    n = p.tensor.dim
-    symplectic = p.structure.tag == "symplectic"
     rng = np.random.default_rng(61)
     basis = algebra_reference(p.structure).sym_basis
     xi = combine(rng.standard_normal(len(basis)), basis)
     phi = expm(0.5 * xi / np.linalg.norm(xi))
     G = nm.Metric(scale * phi.T @ phi)
-    compatible = nm.compatibility_residual(p.structure, G) <= TOL_COMPAT
-    assert compatible != symplectic
+    assert nm.compatibility_residual(p.structure, G) <= TOL_COMPAT
     tensor = nm.act(np.linalg.inv(phi), p.tensor)
-    assert nm.certify_minimal(tensor, G, p.structure,
-                              allow_scale=symplectic).minimal
+    assert nm.certify_minimal(tensor, G, p.structure).minimal
+
+
+def test_symplectic_metric_off_the_cone_is_rejected():
+    # diag(1, 2, 1, 1, 1, 1) is not compatible with the standard form up to
+    # any factor: kappa = 5/6 and the residual is (1 - 5/6) / (5/6) = 0.4
+    p = nm.m26_point(1.0, 0.0)
+    G = nm.Metric(np.diag([1.0, 2, 1, 1, 1, 1]))
+    assert nm.compatibility_residual(p.structure, G) == pytest.approx(0.4, rel=1e-12)
+    with pytest.raises(nm.IncompatibleMetric, match="residual 0.4"):
+        nm.certify_minimal(p.tensor, G, p.structure)
+    with pytest.raises(nm.IncompatibleMetric):
+        structure_algebra(p.structure, G)
+    with pytest.raises(nm.IncompatibleMetric):
+        nm.metric_flow(p.tensor, p.structure, G, nm.FlowConfig(horizon=0.1))
+
+
+def test_compatibility_has_no_scale_keyword():
+    # the cone of metrics compatible up to a factor is the only notion, so
+    # the keyword that chose the strict one is gone from every entry point
+    p = nm.m26_point(1.0, 0.0)
+    G = nm.Metric.identity(6)
+    removed = {"allow_" "scale": True}
+    calls = (lambda: nm.certify_minimal(p.tensor, G, p.structure, **removed),
+             lambda: nm.invariant_ricci(p.tensor, G, p.structure, **removed),
+             lambda: nm.functional_F(p.tensor, p.structure, G, **removed),
+             lambda: nm.curvature_report(p.tensor, G, p.structure, **removed),
+             lambda: nm.fingerprint(p.tensor, G, p.structure, **removed),
+             lambda: invariant_projection(p.structure, G, np.eye(6), **removed))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("kind", ["symplectic", "complex", "hypercomplex"])
@@ -284,10 +311,13 @@ def test_structure_algebra_spans_the_reference(kind, n, sym, skew, at):
         assert np.abs(gram - np.eye(len(part))).max() <= 1e-12
 
 
-def test_structure_algebra_rejects_a_scaled_symplectic_metric():
+def test_structure_algebra_ignores_the_scale_of_a_symplectic_metric():
+    # a metric compatible up to a factor has the structure algebra of I
     gamma = nm.standard_structure("symplectic", 6)
-    with pytest.raises(nm.IncompatibleMetric):
-        structure_algebra(gamma, nm.Metric(2.5 * np.eye(6)))
+    got = structure_algebra(gamma, nm.Metric(2.5 * np.eye(6)))
+    want = structure_algebra(gamma, nm.Metric.identity(6))
+    assert (len(got.sym_basis), got.skew_dim) == (12, 9)
+    assert _span_gap(got.sym_basis, want.sym_basis) <= 1e-12
 
 
 def _literal_projection(gamma, payload0, S):
@@ -448,9 +478,6 @@ def test_projection_under_transported_metric():
         assert nm.compatibility_residual(gamma, G0) < 1e-10
         assert np.abs(G0.matrix - np.eye(n)).max() > 0.05
         G = nm.Metric(kappa * G0.matrix)
-        if kappa != 1.0:
-            with pytest.raises(nm.IncompatibleMetric):
-                invariant_projection(gamma, G, np.eye(n))
         Q = G0.transport @ np.linalg.inv(phi)
         assert np.abs(Q.T @ Q - np.eye(n)).max() < 1e-12
         frame_basis = [Q @ B @ Q.T for B in basis]
@@ -458,7 +485,7 @@ def test_projection_under_transported_metric():
         for _ in range(5):
             A = rng.standard_normal((n, n))
             S0 = 0.5 * (A + A.T)
-            P = invariant_projection(gamma, G, hinv @ S0 @ h, allow_scale=True)
+            P = invariant_projection(gamma, G, hinv @ S0 @ h)
             want = sum(float(np.sum(S0 * B)) * B for B in frame_basis)
             assert np.abs(h @ P @ hinv - want).max() < 1e-9
             assert np.abs(want - S0).max() > 0.1
