@@ -3,12 +3,13 @@ sphere-constrained gradient descent of the curvature functional on
 brackets, plus the self-similarity check for certified solitons.
 
 Both build the structure's projector matrix once and call the curvature
-kernel on pair rows once per bracket they visit, and both use the
-certificate's split Ric^gamma = c I + D (curvature.soliton_split).  The
-metric flow is a bracket flow (Lauret, "The Ricci flow for simply
-connected nilmanifolds", Comm. Anal. Geom. 19, 2011) on the pair (mu, h),
-G = h^T h and mu = act(h, mu0): h' = s/2 A h and mu' = s/2 delta_mu(A), A
-the Ric^gamma of mu at the identity (D for the normalized flow).  Its
+kernel (curvature.frame_kernel) on pair rows once per bracket they visit;
+it gives the certificate's split Ric^gamma = c I + D and defect
+delta_mu(D).  The metric flow is a bracket flow (Lauret, "The Ricci flow
+for simply connected nilmanifolds", Comm. Anal. Geom. 19, 2011) on the
+pair (mu, h), G = h^T h and mu = act(h, mu0): h' = s/2 A h and
+mu' = s/2 delta_mu(A), A the Ric^gamma of mu at the identity, or D for the
+normalized flow, whose bracket velocity is s/2 times the defect.  Its
 stages pass bare pair rows; each step forms act(h_new, mu0) once, to test
 the integrated bracket and as the next state.
 
@@ -51,7 +52,8 @@ from .algebra_core import (
     combine,
     expm,
 )
-from .curvature import F_of_ricci, _ricci_form, frame_curvature, soliton_split
+from .curvature import (F_of_point, _ricci_form, certificate_residual,
+                        frame_kernel)
 from .errors import (
     InvalidBracket,
     NilmetricError,
@@ -59,7 +61,7 @@ from .errors import (
     StepCollapse,
     ZeroTensor,
 )
-from .minimality import certify_minimal, frame_certificate
+from .minimality import certify_minimal
 from .structures import (
     Structure,
     _frame_projector,
@@ -131,36 +133,35 @@ def _unit(tensor: SkewTensor) -> SkewTensor:
     return tensor.scaled(1.0 / norm)
 
 
-# a bracket at the identity metric with its curvature and certificate:
-# Ric^gamma = c I + D, the certificate residual and the defect delta_mu(D)
-_Point = namedtuple("_Point", "tensor ric_gamma norm2 c D residual defect")
+# a bracket at the identity metric with its kernel's Ric^gamma = c I + D,
+# |mu|^2, the defect delta_mu(D) as a tensor and the certificate residual
+_Point = namedtuple("_Point", "tensor ric_gamma norm2 c D defect residual")
 
 
 def _certified(tensor: SkewTensor, P: np.ndarray) -> _Point:
-    """The certified point of a bracket: one kernel call and one
-    certificate, made once for each bracket the flow samples or the
-    descent visits."""
-    _, ric_gamma, norm2 = frame_curvature(tensor.coeffs, tensor.full(), P)
-    return _Point(tensor, ric_gamma, norm2,
-                  *frame_certificate(tensor, ric_gamma, norm2))
+    """The certified point of a bracket: one kernel call, made once for
+    each bracket the flow samples or the descent visits."""
+    point = frame_kernel(tensor.coeffs, P)
+    return _Point(tensor, *point[1:5], SkewTensor(tensor.dim, point.defect),
+                  certificate_residual(point))
 
 
 def _sample_row(point: _Point, t: float) -> tuple:
     """Trace row (t, scal, F, certificate residual) of a certified bracket."""
-    return (float(t), -0.25 * point.norm2,
-            F_of_ricci(point.ric_gamma, point.norm2), point.residual)
+    return (float(t), -0.25 * point.norm2, F_of_point(point), point.residual)
 
 
 def _flow_field(C: np.ndarray, P: np.ndarray, h: np.ndarray, sign: float,
                 renorm: bool) -> tuple:
     """(mu', h') of the pair state (mu, h), mu = act(h, mu0) with pair rows
     C: h' = s/2 A h and mu' = s/2 delta_mu(A) as pair rows, with A = D (or
-    Ric^gamma when not renorm) of mu at the identity, from one full array F."""
-    F = _full_array(C)
-    _, ric_gamma, norm2 = frame_curvature(C, F, P)
-    A = (0.5 * sign) * (soliton_split(ric_gamma, norm2)[1] if renorm
-                        else ric_gamma)
-    return _coboundary_rows(C, F, A), A.dot(h)
+    Ric^gamma when not renorm) of mu at the identity, from one kernel call:
+    delta_mu(D) is its defect, and delta_mu(Ric^gamma) = delta_mu(D) - c mu."""
+    point = frame_kernel(C, P)
+    half = 0.5 * sign
+    if renorm:
+        return half * point.defect, (half * point.D).dot(h)
+    return half * (point.defect - point.c * C), (half * point.ric_gamma).dot(h)
 
 
 def metric_flow(mu, gamma: Structure, G0: Metric,
@@ -358,7 +359,7 @@ def bracket_descent(mu, gamma: Structure = None, *,
         for halvings in range(MAX_HALVINGS):
             eta = 0.5**halvings
             cand = _move(point.tensor, -point.ric_gamma, eta, P)
-            f_new = F_of_ricci(cand.ric_gamma, cand.norm2)
+            f_new = F_of_point(cand)
             if f_new <= f_cur - 1e-4 * eta * nd * nd:
                 break
             stats["backtracks"] += 1
@@ -450,7 +451,7 @@ def _polish(point: _Point, basis: np.ndarray, P: np.ndarray,
         gen = combine(step, basis)
         for halvings in range(25):
             cand = _move(tensor, gen, 0.5**halvings, P)
-            f_new = F_of_ricci(cand.ric_gamma, cand.norm2)
+            f_new = F_of_point(cand)
             if (cand.defect.norm() < nd
                     and f_new <= f_cur + 1e-13 * (1.0 + abs(f_cur))):
                 break

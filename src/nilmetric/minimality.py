@@ -3,11 +3,12 @@ non-hermitian-Ricci obstruction for symplectic structures, and spectral
 fingerprints for telling structures apart.
 
 The certificate tests, at a given metric, whether the invariant Ricci
-operator splits as c I + D with D a derivation of the bracket.  The test
-is algebraic: c is forced by traces, D is the remainder, and the residual
-is the norm of the coboundary of D.  A failed test at one metric proves
-nothing about other compatible metrics, so the negative verdict is
-NotCertified, never "NotMinimal".
+operator splits as c I + D with D a derivation of the bracket: c is
+forced by traces, D is the remainder, and the residual is the norm of the
+defect delta_mu(D).  The normalized flow's bracket velocity is s/2 times
+that defect, and one kernel (curvature.frame_kernel) gives both.  A failed
+test at one metric proves nothing about other compatible metrics, so the
+negative verdict is NotCertified, never "NotMinimal".
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import (Bracket, Metric, SkewTensor, _from_frame,
-                           as_tensor, coboundary)
-from .curvature import _frame_data, curvature_report, soliton_split
+from .algebra_core import Bracket, Metric, _from_frame, as_tensor
+from .curvature import _frame_data, certificate_residual, curvature_report
 from .defaults import TOL_DISTINGUISH, certification_tolerance
 from .errors import DimensionMismatch, NotClosed, WrongTag
 from .structures import (
@@ -50,19 +50,6 @@ class Certificate:
         return self.verdict == MINIMAL
 
 
-def frame_certificate(mu0: SkewTensor, ric_gamma0: np.ndarray,
-                      norm2: float) -> tuple:
-    """(c, D0, residual, delta_mu0(D0)) of the certificate for mu0 in an
-    orthonormal frame, from its Ric^gamma and |mu|^2 (frame_curvature).
-    The residual is |delta_mu0(D0)| / ((1 + |D0|) |mu0|), 0 when mu0 = 0."""
-    c, D0 = soliton_split(ric_gamma0, norm2)
-    defect = coboundary(mu0, D0)
-    norm = mu0.norm()
-    residual = (0.0 if norm == 0.0 else
-                float(defect.norm() / ((1.0 + float(np.linalg.norm(D0))) * norm)))
-    return c, D0, residual, defect
-
-
 def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
                     tol: float = None) -> Certificate:
     """Test whether the invariant Ricci operator equals c I + (derivation).
@@ -75,10 +62,10 @@ def certify_minimal(mu, G: Metric = None, gamma: Structure = None,
     """
     if tol is None:  # read first: a bad NILMETRIC_TOL is reported first
         tol = certification_tolerance()
-    G, mu0, _, ric_gamma0, norm2 = _frame_data(mu, G, gamma)
-    c, D0, residual, _ = frame_certificate(mu0, ric_gamma0, norm2)
+    G, point = _frame_data(mu, G, gamma)
+    residual = certificate_residual(point)
     verdict = MINIMAL if residual <= tol else NOT_CERTIFIED
-    return Certificate(c=c, D=_from_frame(D0, G), residual=residual,
+    return Certificate(c=point.c, D=_from_frame(point.D, G), residual=residual,
                        verdict=verdict, tolerance=float(tol))
 
 
@@ -105,13 +92,11 @@ def hermitian_obstruction(mu, G: Metric = None,
     closed = integrability_residual(gamma, tensor)
     if not integrability_accepted(closed, tensor):
         raise NotClosed(f"form is not closed (residual {closed:.3e})")
-    _, _, _, ric_gamma0, _ = _frame_data(tensor, G, gamma)
-    if tensor.norm2() == 0.0:
+    point = _frame_data(tensor, G, gamma)[1]
+    if point.norm2 == 0.0:
         return ObstructionReport(status=ABELIAN, obstruction_norm=0.0)
-    return ObstructionReport(
-        status=OBSTRUCTED,
-        obstruction_norm=float(np.linalg.norm(ric_gamma0)),
-    )
+    norm = float(np.linalg.norm(point.ric_gamma))
+    return ObstructionReport(status=OBSTRUCTED, obstruction_norm=norm)
 
 
 @dataclass(frozen=True)

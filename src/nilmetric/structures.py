@@ -226,8 +226,9 @@ def integrability_residual(gamma: Structure, mu: SkewTensor) -> float:
 
 
 def integrability_accepted(residual: float, mu: SkewTensor) -> bool:
-    """The integrability acceptance test, residual <= TOL_COMPAT (1 + |mu|)."""
-    return residual <= TOL_COMPAT * (1.0 + mu.norm())
+    """The integrability acceptance test, residual <= TOL_COMPAT |mu|: the
+    defect is linear in mu, so the verdict does not depend on its scale."""
+    return residual <= TOL_COMPAT * mu.norm()
 
 
 def _abelian_parts(gamma: Structure, mu: SkewTensor) -> list:

@@ -9,7 +9,8 @@ from scipy.linalg import expm, null_space
 
 import nilmetric as nm
 from nilmetric.algebra_core import (_from_frame, as_tensor, combine,
-                                    skew_basis, svd_nullspace, sym_basis)
+                                    pair_index, skew_basis, svd_nullspace,
+                                    sym_basis)
 from nilmetric.flows import _certified
 from nilmetric.structures import _transported_payload
 
@@ -50,6 +51,23 @@ def bracket_corpus():
             base = graded_two_step(n, n1, rng)
             corpus.append(nm.act(g, base))
     return corpus
+
+
+def act_reference(g, mu):
+    """Reference for the contraction of nm.act, without the scatter
+    matrix: the output slot on the stored pair rows, scattered by fancy
+    indexing into one antisymmetric n x n matrix per output index, one
+    batched congruence ginv^T T ginv and a fancy-index read-out.  Returns
+    the pair rows."""
+    n = mu.dim
+    ginv = np.linalg.inv(g)
+    iu, ju = pair_index(n)
+    C = (mu.coeffs @ g.T).T
+    T = np.zeros((n, n, n))
+    T[:, iu, ju] = C
+    T[:, ju, iu] = -C
+    T = ginv.T @ T @ ginv
+    return T[:, iu, ju].T.copy()
 
 
 def _frame_constraint_rows(gamma, payload0, B):
@@ -153,13 +171,13 @@ def count_kernel_calls(monkeypatch, module: str) -> list:
     """Wrap the curvature kernel as `module` calls it; the returned list
     gets the pair rows' bytes of each bracket it is called on."""
     calls = []
-    kernel = nm.curvature.frame_curvature
+    kernel = nm.curvature.frame_kernel
 
-    def counted(C, F, P):
+    def counted(C, P):
         calls.append(C.tobytes())
-        return kernel(C, F, P)
+        return kernel(C, P)
 
-    monkeypatch.setattr(f"{module}.frame_curvature", counted)
+    monkeypatch.setattr(f"{module}.frame_kernel", counted)
     return calls
 
 

@@ -12,7 +12,7 @@ from nilmetric.algebra_core import (_full_array, combine, expm, pair_index,
                                     svd_nullspace, sym_basis, skew_basis,
                                     triple_index)
 
-from conftest import bench_module
+from conftest import act_reference, bench_module
 
 TOL = 1e-12
 
@@ -151,6 +151,18 @@ def test_bracket_validation_errors():
         nm.Bracket(solvable)
 
 
+@pytest.mark.parametrize("t", [1e6, 1.0, 1e-3, 1e-5, 1e-6])
+def test_bracket_rejects_a_non_lie_tensor_at_every_scale(t):
+    # [e1,e2] = e3, [e3,e4] = e5 fails Jacobi by O(1) relative; the Jacobi
+    # sum and the bound TOL_JACOBI |mu|^2 are both quadratic in mu, so no
+    # scale passes (a bound with an absolute floor, TOL_JACOBI (1 + |mu|^2),
+    # accepts it at 1e-5 and 1e-6)
+    mu = nm.SkewTensor.from_entries(5, [(1, 2, 3, t), (3, 4, 5, t)])
+    with pytest.raises(nm.InvalidBracket):
+        nm.Bracket(mu)
+    assert nm.Bracket(nm.SkewTensor.zero(5)).nilpotency_index == 1
+
+
 def test_bracket_nilpotency_index():
     assert nm.Bracket(nm.heisenberg().tensor).nilpotency_index == 2
     assert nm.Bracket(nm.m26_point(1.0, 0.0).tensor).nilpotency_index == 4
@@ -185,6 +197,18 @@ def test_act_matches_direct_einsum():
             want = np.einsum("ia,jb,ijk,mk->abm", ginv, ginv, t.full(), g)
             got = nm.act(g, t).full()
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_act_matches_the_reference_bit_for_bit():
+    # the scatter-matrix contraction sums in the order of the reference's
+    # fancy-index scatter, so the pair rows agree to the last bit
+    rng = np.random.default_rng(27)
+    for n in range(2, 13):
+        for _ in range(20):
+            t = nm.SkewTensor(n, rng.standard_normal((n * (n - 1) // 2, n)))
+            g = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+            want = act_reference(g, t).tobytes()
+            assert nm.act(g, t).coeffs.tobytes() == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import nilmetric as nm
-from nilmetric.algebra_core import expm
+from nilmetric.algebra_core import expm, jacobi_accepted
 from nilmetric.cli import main
-from nilmetric.defaults import TOL_JACOBI
 from nilmetric.problemfile import jsonable
 
 
@@ -277,12 +276,17 @@ def test_check_scales_integrability_bound_with_norm(capsys, tmp_path):
 def test_check_and_bracket_share_the_jacobi_bound(capsys, tmp_path, side):
     # m26 at norm 10 plus t times the X5 component of mu(X3, X4): the
     # Jacobi sum is linear in t, so t can sit just inside or just outside
-    # TOL_JACOBI (1 + |mu|^2) = 1.01e-8; check and Bracket must agree
+    # the largest residual jacobi_accepted takes at the base, found by
+    # bisection; check and Bracket must agree
     m26 = nm.catalog_get("m26").tensor
     base = m26.scaled(10.0 / m26.norm())
     bend = nm.SkewTensor.from_entries(6, [(3, 4, 5, 1.0)])
     slope = nm.jacobi_residual(base.plus(bend))
-    t = side * TOL_JACOBI * (1.0 + base.norm2()) / slope
+    edge, over = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (edge + over)
+        edge, over = (mid, over) if jacobi_accepted(mid, base) else (edge, mid)
+    t = side * edge / slope
     mu = base.plus(bend, t)
     path = write_problem(tmp_path, "edge.json", mu)
     _, out, _ = run(capsys, ["check", path])

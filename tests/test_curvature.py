@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.stats import ortho_group
 
 import nilmetric as nm
 
-from conftest import (algebra_reference, count_kernel_calls,
-                      moment_map_reference)
+from conftest import (algebra_reference, bench_module, count_kernel_calls,
+                      group_reference, moment_map_reference)
 
 TOL = 1e-12
 
@@ -137,15 +138,14 @@ def test_soliton_split_is_tangential_and_certified():
     P = nm.structures._frame_projector(p.structure, payload0)
     g = np.eye(6) + 0.2 * np.random.default_rng(5).standard_normal((6, 6))
     for mu in (nm.act(g, p.tensor), p.tensor):
-        _, ric_gamma, norm2 = nm.curvature.frame_curvature(mu.coeffs,
-                                                           mu.full(), P)
-        c, D = nm.curvature.soliton_split(ric_gamma, norm2)
-        assert np.array_equal(D, ric_gamma - c * np.eye(6))
+        point = nm.curvature.frame_kernel(mu.coeffs, P)
+        c, D, norm2 = point.c, point.D, point.norm2
+        assert np.array_equal(D, point.ric_gamma - c * np.eye(6))
         assert abs(nm.inner(nm.coboundary(mu, D), mu)) <= 1e-13 * norm2 * (
             1.0 + np.linalg.norm(D))
     cert = nm.certify_minimal(p.tensor, gamma=p.structure)
     assert cert.c == c and np.array_equal(cert.D, D)
-    assert nm.curvature.soliton_split(np.zeros((3, 3)), 0.0)[0] == 0.0
+    assert nm.curvature.frame_kernel(np.zeros((3, 3)), np.eye(9)).c == 0.0
 
 
 def test_scalar_negative_for_nonabelian(bracket_corpus):
@@ -203,8 +203,7 @@ def test_frame_kernel_matches_entry_points():
     P = nm.structures._frame_projector(
         p.structure, nm.structures._transported_payload(p.structure, G))
     mu0 = nm.act(h, p.tensor)
-    ric0, ric_gamma0, norm2 = nm.curvature.frame_curvature(
-        mu0.coeffs, mu0.full(), P)
+    ric0, ric_gamma0, norm2 = nm.curvature.frame_kernel(mu0.coeffs, P)[:3]
     assert np.abs(ric0 - ric0.T).max() == 0.0
     assert np.abs(ric_gamma0 - ric_gamma0.T).max() == 0.0
     ric = nm.ricci_operator(p.tensor, G)
@@ -213,6 +212,34 @@ def test_frame_kernel_matches_entry_points():
     assert np.abs(h @ ric_gamma @ hinv - ric_gamma0).max() < 1e-12
     assert -0.25 * norm2 == pytest.approx(nm.scalar_curvature(p.tensor, G),
                                           rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "m26", "iwasawa-curve",
+                                  "hc-g3"])
+def test_frame_kernel_certificate_matches_the_oracle(name):
+    # at a perturbed compatible metric, in the Cholesky frame: c and D
+    # against bench/oracle.py (eigh frame, least-squares c), and the
+    # defect rows against the general coboundary of the kernel's D
+    oracle = bench_module("oracle")
+    p = nm.catalog_get(name)
+    basis = group_reference(p.structure)
+    rng = np.random.default_rng(27)
+    xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    phi = expm(0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
+    G = nm.Metric(phi.T @ phi)
+    P = nm.structures._frame_projector(
+        p.structure, nm.structures._transported_payload(p.structure, G))
+    mu0 = nm.act(G.transport, p.tensor)
+    point = nm.curvature.frame_kernel(mu0.coeffs, P)
+    c, D, _ = oracle.Curvature(
+        p.tensor.full(), G.matrix,
+        (p.structure.tag, p.structure.payload)).certificate()
+    assert abs(point.c - c) <= 1e-12 * abs(c)
+    got = G.transport_inv @ point.D @ G.transport
+    assert np.abs(got - D).max() <= 1e-12 * np.abs(D).max()
+    want = nm.coboundary(mu0, point.D).coeffs
+    scale = np.abs(point.D).max() * np.abs(mu0.coeffs).max()
+    assert np.abs(point.defect - want).max() <= 1e-14 * scale
 
 
 def _direct_sum(p, q):
@@ -250,8 +277,7 @@ def test_frame_kernel_ricci_matches_the_reference(case):
     payload0 = nm.structures._transported_payload(gamma,
                                                   nm.Metric.identity(n))
     P = nm.structures._frame_projector(gamma, payload0)
-    ric, ric_gamma, norm2 = nm.curvature.frame_curvature(mu.coeffs,
-                                                         mu.full(), P)
+    ric, ric_gamma, norm2 = nm.curvature.frame_kernel(mu.coeffs, P)[:3]
     assert np.abs(ric - moment_map_reference(mu) / 8.0).max() <= 1e-14 * (
         1.0 + mu.norm2())
     assert np.array_equal(ric, ric.T)
@@ -272,9 +298,9 @@ def test_frame_payload_is_a_tuple_of_maps(name, length):
     assert isinstance(payload0, tuple) and len(payload0) == length
     for J0 in payload0:
         assert np.abs(J0 @ J0 + np.eye(n)).max() < TOL
-    ric, ric_gamma, norm2 = nm.curvature.frame_curvature(
-        p.tensor.coeffs, p.tensor.full(),
-        nm.structures._frame_projector(p.structure, payload0))
+    ric, ric_gamma, norm2 = nm.curvature.frame_kernel(
+        p.tensor.coeffs,
+        nm.structures._frame_projector(p.structure, payload0))[:3]
     assert np.array_equal(ric, nm.ricci_operator(p.tensor))
     assert np.array_equal(ric_gamma,
                           nm.invariant_ricci(p.tensor, I, p.structure))

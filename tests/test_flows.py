@@ -205,6 +205,29 @@ def test_flow_field_moves_the_bracket_as_act_does(preset, renorm):
     assert np.abs(velocity - want).max() <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("preset", ["heisenberg", "m26", "iwasawa-curve",
+                                    "hc-g3"])
+def test_unnormalized_field_is_the_coboundary_of_ric_gamma(preset, sign):
+    # the field reads delta_mu(Ric^gamma) = delta_mu(D) - c mu off the
+    # kernel's defect; the general coboundary of s/2 Ric^gamma agrees to
+    # 1e-14 of its largest entry, and h' = s/2 Ric^gamma h
+    p = nm.catalog_get(preset)
+    basis = group_reference(p.structure)
+    rng = np.random.default_rng(27)
+    xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    phi = expm(0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
+    G0 = nm.Metric(phi.T @ phi)
+    h = G0.transport
+    P = _frame_projector(p.structure, _transported_payload(p.structure, G0))
+    mu = nm.act(h, p.tensor)
+    velocity, dh = _flow_field(mu.coeffs, P, h, sign, False)
+    ric_gamma = nm.curvature.frame_kernel(mu.coeffs, P).ric_gamma
+    want = nm.coboundary(mu, 0.5 * sign * ric_gamma).coeffs
+    assert np.abs(velocity - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(dh, (0.5 * sign * ric_gamma) @ h)
+
+
 def test_criterion_8_flows_keep_the_bracket_gap(sp6_basis):
     # criterion 8's 20 starts: every RK4 step lands within 1e-10 of
     # act(h_new, mu0), far inside flows.GAP_TOL, so no step is rejected
@@ -346,26 +369,29 @@ def test_descent_direction_is_minus_coboundary_of_D(name):
 
 
 def test_descent_computes_one_defect_per_bracket(sp6_basis, monkeypatch):
-    # the certificate's coboundary delta_mu(D) of a bracket gives its
-    # direction, its stop-test norm, its Gauss-Newton residual and its trace
-    # row: no bracket has it computed twice, and it is computed for the
-    # trace rows and for the Gauss-Newton trials that were rejected (a
-    # rejected first-phase trial needs only F; the Jacobian needs none)
-    calls = []
+    # the certificate's coboundary delta_mu(D) of a bracket, from the
+    # curvature kernel, gives its direction, its stop-test norm, its
+    # Gauss-Newton residual and its trace row: no bracket has it computed
+    # twice, no other coboundary is formed, and it is computed for the trace
+    # rows and for the Gauss-Newton trials that were rejected (this start
+    # has no rejected first-phase trial; the Jacobian needs none)
+    cobounds = []
 
     def counted(mu, A):
-        calls.append(mu.coeffs.tobytes())
+        cobounds.append(1)
         return nm.coboundary(mu, A)
 
     for name, module in list(sys.modules.items()):
         if (name.startswith("nilmetric.")
                 and getattr(module, "coboundary", None) is nm.coboundary):
             monkeypatch.setattr(module, "coboundary", counted)
+    calls = count_kernel_calls(monkeypatch, "nilmetric.flows")
     gamma = nm.m26_point(1.0, 0.0).structure
     start = perturbed_m26(sp6_basis, np.random.default_rng(501), scale=0.3)
     trace = nm.bracket_descent(start, gamma=gamma)
     monkeypatch.undo()
     assert trace.converged
+    assert not cobounds
     assert len(calls) == len(trace.samples) + trace.stats["polish_backtracks"]
     assert len(calls) == len(set(calls))
     cert = nm.certify_minimal(trace.final_state, gamma=gamma)
@@ -398,7 +424,7 @@ def test_flow_does_not_swallow_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr("nilmetric.flows.frame_curvature", broken)
+    monkeypatch.setattr("nilmetric.flows.frame_kernel", broken)
     with pytest.raises(TypeError, match="injected"):
         nm.metric_flow(nm.heisenberg().tensor, nm.no_structure(3),
                        nm.Metric.identity(3), nm.FlowConfig(horizon=0.1))

@@ -21,6 +21,7 @@ from nilmetric.structures import (
     structure_algebra,
     graded_ambient_basis,
     full_ambient_basis,
+    integrability_accepted,
 )
 
 from conftest import algebra_reference, basis_projection, group_reference
@@ -139,6 +140,51 @@ def test_nijenhuis_detects_non_integrable():
 def test_hypercomplex_family_is_integrable():
     p = nm.hypercomplex_family(0.25, 0.5, 0.75)
     assert nm.integrability_residual(p.structure, p.tensor) < 1e-10
+
+
+def _bent(name, size, seed):
+    """A preset's bracket plus a random tensor of `size` times its norm."""
+    tensor = nm.catalog_get(name).tensor
+    rng = np.random.default_rng(seed)
+    noise = nm.SkewTensor(tensor.dim, rng.standard_normal(tensor.coeffs.shape))
+    return tensor.plus(noise, size * tensor.norm() / noise.norm())
+
+
+@pytest.mark.parametrize("t", [1e6, 1.0, 1e-6, 1e-8])
+def test_integrability_rejects_a_bent_bracket_at_every_scale(t):
+    # m26 plus a 5% random tensor is not closed; the defect and the bound
+    # TOL_COMPAT |mu| are both linear in mu, so no scale passes (a bound with
+    # an absolute floor, TOL_COMPAT (1 + |mu|), accepts it at 1e-8); the zero
+    # bracket still passes
+    gamma = nm.catalog_get("m26").structure
+    mu = _bent("m26", 0.05, 14).scaled(t)
+    assert not integrability_accepted(nm.integrability_residual(gamma, mu), mu)
+    zero = nm.SkewTensor.zero(6)
+    assert integrability_accepted(nm.integrability_residual(gamma, zero), zero)
+
+
+def _scale_free_verdicts(mu, gamma) -> tuple:
+    """(Bracket()'s verdict, integrability_accepted's) of mu."""
+    try:
+        nm.Bracket(mu)
+        verdict = "bracket"
+    except nm.InvalidBracket:
+        verdict = "jacobi"
+    except nm.NotNilpotent:
+        verdict = "not nilpotent"
+    return verdict, integrability_accepted(
+        nm.integrability_residual(gamma, mu), mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["heisenberg", "m26", "iwasawa-curve", "hc-g3"]),
+       st.sampled_from([0.0, 1e-3, 0.05]), st.integers(0, 2**32 - 1),
+       st.floats(1e-6, 1e6))
+def test_bracket_and_integrability_verdicts_ignore_scale(name, size, seed, t):
+    gamma = nm.catalog_get(name).structure
+    mu = _bent(name, size, seed)
+    assert (_scale_free_verdicts(mu.scaled(t), gamma)
+            == _scale_free_verdicts(mu, gamma))
 
 
 def test_abelian_residual_golden():
