@@ -302,15 +302,21 @@ def expm(S: np.ndarray) -> np.ndarray:
     return (V * np.exp(w)) @ V.T
 
 
+def _square_matrix(M, what: str) -> np.ndarray:
+    """M as a float n x n array with n >= 1; DimensionMismatch otherwise,
+    so an empty matrix never reaches a max() over no entries."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionMismatch(f"{what} shape {M.shape}, expected n x n, n >= 1")
+    return M
+
+
 class Metric:
     """Left-invariant inner product <X, Y> = X^T G Y, G symmetric positive
     definite.  Caches the Cholesky transport h = L^T with G = L L^T."""
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        n = matrix.shape[0]
-        if matrix.shape != (n, n):
-            raise DimensionMismatch(f"metric shape {matrix.shape}")
+        matrix = _square_matrix(matrix, "metric")
         if not np.all(np.isfinite(matrix)):
             raise NotPositiveDefinite("metric matrix has non-finite entries")
         half = 0.5 * matrix  # halved before sums and differences: no overflow

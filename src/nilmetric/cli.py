@@ -10,6 +10,7 @@ Indistinguishable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -85,6 +86,14 @@ def _problem_tolerance(problem, args) -> float:
     return certification_tolerance()
 
 
+def _open_output(path: str):
+    """path opened for writing (before any work), or ParseError naming it."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def cmd_certify(args) -> int:
     problem = load_problem(args.file)
     tol = _problem_tolerance(problem, args)
@@ -98,9 +107,9 @@ def cmd_flow(args) -> int:
     problem = load_problem(args.file)
     cfg = FlowConfig(step=args.step, horizon=args.horizon, sign=args.sign,
                      renorm=not args.unnormalized)
-    trace = metric_flow(problem.tensor, problem.structure, problem.metric, cfg)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(args.csv) if args.csv else contextlib.nullcontext() as fh:
+        trace = metric_flow(problem.tensor, problem.structure, problem.metric, cfg)
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["t", "scal", "F", "cert_residual"])
             for row in trace.samples:
@@ -125,7 +134,7 @@ def cmd_flow(args) -> int:
 
 
 def _search_one(index: int, tensor, structure, basis, seed_seq, scale,
-                settings: dict):
+                settings: dict, tol: float):
     rng = np.random.default_rng(seed_seq)
     if index == 0 or not basis:
         start = tensor
@@ -137,7 +146,7 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, scale,
         start = act(expm(xi), tensor)
     trace = bracket_descent(start, structure, **settings)
     final = trace.final_state
-    cert = certify_minimal(final, Metric.identity(final.dim), structure)
+    cert = certify_minimal(final, Metric.identity(final.dim), structure, tol=tol)
     return {
         "start": index,
         "converged": trace.converged,
@@ -154,6 +163,7 @@ def _search_one(index: int, tensor, structure, basis, seed_seq, scale,
 
 def cmd_search(args) -> int:
     problem = load_problem(args.file)
+    tol = _problem_tolerance(problem, args)
     tensor = problem.tensor.scaled(1.0 / problem.tensor.norm()) \
         if problem.tensor.norm() > 0 else problem.tensor
     basis = structure_algebra(problem.structure,
@@ -161,7 +171,7 @@ def cmd_search(args) -> int:
     settings = {"tol_converge": args.tol_converge, "max_iter": args.max_iter}
     children = np.random.SeedSequence(args.seed).spawn(args.starts)
     results = [_search_one(k, tensor, problem.structure, basis, children[k],
-                           args.perturbation, settings)
+                           args.perturbation, settings, tol)
                for k in range(args.starts)]
     best = min(results, key=lambda r: (not r["converged"], r["F_final"]))
     cert = best["_cert"]
@@ -225,7 +235,7 @@ def cmd_catalog(args) -> int:
     problem = point_to_problem(point)
     text = json.dumps(jsonable(problem), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text + "\n")
         _emit({"written": args.out, "family_id": point.family_id,
                "params": point.params, "validation": point.validation})
@@ -255,6 +265,7 @@ _POSITIVE = _number(float, "a positive finite number",
 _NON_NEGATIVE = _number(float, "a finite number >= 0",
                         lambda value: math.isfinite(value) and value >= 0)
 _POSITIVE_INT = _number(int, "a positive integer", lambda value: value > 0)
+_NON_NEGATIVE_INT = _number(int, "a non-negative integer", lambda value: value >= 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="multi-start descent to a minimal bracket")
     p.add_argument("file")
     p.add_argument("--starts", type=_POSITIVE_INT, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--perturbation", type=_NON_NEGATIVE, default=0.2,
                    help="Frobenius norm of each perturbed start's symmetric "
                         "structure-algebra generator")

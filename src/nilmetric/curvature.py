@@ -2,15 +2,16 @@
 the normalized curvature functional and the certificate's split on brackets.
 
 All come from one kernel, ``frame_kernel``: from a bracket's pair rows in an
-orthonormal frame and the structure's projector matrix there (built once
-per transport) it returns the symmetric Ric and Ric^gamma, |mu|^2, the
-split Ric^gamma = c I + D and delta_mu(D).  The flow's field (whose bracket
-velocity is s/2 delta_mu(D)), its samples, the descent's moves and the
-certificate all call it.  Each entry point for a metric G (the identity by
-default) starts with ``_frame_data``, which transports the bracket once
-into the G-orthonormal frame and calls the kernel; an operator is
-conjugated back at most once, so operators in the original frame are
-G-self-adjoint rather than plain-symmetric.
+orthonormal frame and the structure's projector matrix P there (the one
+definition of the projection, structures._frame_projector) it returns the
+symmetric Ric and Ric^gamma, |mu|^2, the split Ric^gamma = c I + D and
+delta_mu(D).  The flow's field (whose bracket velocity is s/2 delta_mu(D)),
+its samples, the descent's moves and the certificate all call it.  Each
+entry point for a metric G (the identity by default) starts with
+``_frame_data``, which builds P for G, transports the bracket once into the
+G-orthonormal frame and calls the kernel; an operator is conjugated back at
+most once, so operators in the original frame are G-self-adjoint rather
+than plain-symmetric.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ import numpy as np
 from .algebra_core import (Metric, _flat_pair_index, _from_frame, _identity,
                            _pair_scatter, act, as_tensor)
 from .errors import ZeroTensor
-from .structures import (
-    Structure,
-    _frame_projector,
-    _transported_payload,
-    with_defaults,
-)
+from .structures import Structure, _frame_projector, with_defaults
 
 
 def _ricci_form(Ca: np.ndarray, Fa: np.ndarray, Cb: np.ndarray,
@@ -88,7 +84,7 @@ def _frame_data(mu, G: Metric = None, gamma: Structure = None) -> tuple:
     identity metric and no structure as defaults: every entry point's
     prologue."""
     tensor, G, gamma = with_defaults(mu, G, gamma)
-    P = _frame_projector(gamma, _transported_payload(gamma, G))
+    P = _frame_projector(gamma, G)
     return G, frame_kernel(act(G.transport, tensor).coeffs, P)
 
 

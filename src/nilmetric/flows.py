@@ -65,7 +65,6 @@ from .minimality import certify_minimal
 from .structures import (
     Structure,
     _frame_projector,
-    _transported_payload,
     integrability_accepted,
     integrability_residual,
     no_structure,
@@ -195,7 +194,7 @@ def metric_flow(mu, gamma: Structure, G0: Metric,
         cfg = FlowConfig()
     if gamma is None:
         gamma = no_structure(tensor.dim)
-    P = _frame_projector(gamma, _transported_payload(gamma, G0))
+    P = _frame_projector(gamma, G0)
     sign = 1.0 if cfg.sign == "plus" else -1.0
     evals = 0
 
@@ -331,7 +330,7 @@ def bracket_descent(mu, gamma: Structure = None, *,
             f"starting bracket violates integrability (residual {res0:.3e})"
         )
     identity = Metric.identity(tensor.dim)
-    P = _frame_projector(gamma, _transported_payload(gamma, identity))
+    P = _frame_projector(gamma, identity)
 
     trace = FlowTrace()
     stats = trace.stats = {"iterations": 0, "backtracks": 0,

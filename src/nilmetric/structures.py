@@ -18,10 +18,10 @@ kappa = tr(J_k^T J_k) / n: the scale is free, as sp(s omega) = sp(omega),
 and a complex map forces kappa = 1.  Divided by sqrt(kappa), the maps give
 the one projector onto the whole structure algebra, (X + sum_k s_k(X)) /
 (1 + k) with the reflection s(X) = J X^T J for the symplectic map and
--J X J for each complex map (_frame_projection).  It maps symmetric to
-symmetric and skew to skew; structure_algebra's bases span its image.  On
-symmetric maps it gives invariant_projection, and Ric^gamma as one matrix
-built once per transport (_frame_projector).
+-J X J for each complex map: one (n^2, n^2) matrix P on vec(X) of any X,
+built once per transport (_frame_projector), symmetric to symmetric and
+skew to skew.  structure_algebra's bases span its image,
+invariant_projection is P on symmetric maps, and Ric^gamma = P vec(Ric).
 Integrability and the abelian test are one defect array per condition:
 the closedness rows of a form, one array per complex map.
 """
@@ -36,6 +36,7 @@ from .algebra_core import (
     Metric,
     SkewTensor,
     _from_frame,
+    _square_matrix,
     _to_frame,
     as_tensor,
     pair_index,
@@ -90,17 +91,8 @@ def with_defaults(mu, G: Metric = None, gamma: Structure = None) -> tuple:
             no_structure(n) if gamma is None else gamma)
 
 
-def _square_payload(M, what: str) -> np.ndarray:
-    """M as a float n x n array with n >= 1; DimensionMismatch otherwise,
-    so an empty payload never reaches a max() over no entries."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise DimensionMismatch(f"{what} shape {M.shape}, expected n x n, n >= 1")
-    return M
-
-
 def symplectic_structure(omega: np.ndarray) -> Structure:
-    omega = _square_payload(omega, "form")
+    omega = _square_matrix(omega, "form")
     n = omega.shape[0]
     if n % 2:
         raise DimensionParity("symplectic structures need even dimension")
@@ -113,7 +105,7 @@ def symplectic_structure(omega: np.ndarray) -> Structure:
 
 
 def complex_structure(J: np.ndarray) -> Structure:
-    J = _square_payload(J, "map")
+    J = _square_matrix(J, "map")
     n = J.shape[0]
     if n % 2:
         raise DimensionParity("complex structures need even dimension")
@@ -123,7 +115,7 @@ def complex_structure(J: np.ndarray) -> Structure:
 
 
 def hypercomplex_structure(J1, J2, J3) -> Structure:
-    J1, J2, J3 = (_square_payload(J, "map") for J in (J1, J2, J3))
+    J1, J2, J3 = (_square_matrix(J, "map") for J in (J1, J2, J3))
     n = J1.shape[0]
     if not J1.shape == J2.shape == J3.shape:
         raise DimensionMismatch("hypercomplex maps must share one shape")
@@ -164,15 +156,6 @@ def _frame_maps(gamma: Structure, G: Metric) -> tuple:
         residuals.append(np.abs(MtM - kappa * np.eye(n)).max() / kappa)
         maps.append(M / np.sqrt(kappa))
     return tuple(maps), float(np.max(residuals, initial=0.0))
-
-
-def _transported_payload(gamma: Structure, G: Metric) -> tuple:
-    """_frame_maps' maps; raises IncompatibleMetric unless compatibility_accepted."""
-    maps, residual = _frame_maps(gamma, G)
-    if not compatibility_accepted(residual):
-        raise IncompatibleMetric(
-            f"metric is not compatible with the structure (residual {residual:.3g})")
-    return maps
 
 
 def compatibility_residual(gamma: Structure, G: Metric) -> float:
@@ -248,29 +231,22 @@ def abelian_residual(gamma: Structure, mu: SkewTensor) -> float:
                                     for d in _abelian_parts(gamma, mu)))
 
 
-def _frame_projection(gamma: Structure, payload0, X: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the structure algebra in the orthonormal
-    frame, (X + sum_k s_k(X)) / (1 + k) with s(X) = J X^T J for the
-    symplectic map and -J X J for each complex map; leading axes of X are a
-    batch.  X^T is copied so that a symmetric X rounds exactly as X does."""
-    symplectic = gamma.tag == SYMPLECTIC
-    Xt = np.ascontiguousarray(X.swapaxes(-1, -2)) if symplectic else X
-    out = X
-    for J0 in payload0:
-        A = J0 @ Xt @ J0
-        out = out + A if symplectic else out - A
-    return out / (1 + len(payload0))
-
-
-def _frame_projector(gamma: Structure, payload0) -> np.ndarray:
-    """The (n^2, n^2) matrix of _frame_projection on the row-major vec(X) of
-    a symmetric X, where J X^T J = J X J: (I + s sum_k kron(J_k, J_k^T)) /
-    (1 + k), with s = +1 for the symplectic map and -1 for complex maps."""
+def _frame_projector(gamma: Structure, G: Metric) -> np.ndarray:
+    """The (n^2, n^2) matrix, on the row-major vec(X) of any n x n X, of the
+    orthogonal projector onto the structure algebra in the G-orthonormal
+    frame, X -> (X + sum_k s_k(X)) / (1 + k) with s(X) = J X^T J for the
+    symplectic map and -J X J for each complex map (_frame_maps' J_k);
+    raises IncompatibleMetric unless compatibility_accepted."""
+    maps, residual = _frame_maps(gamma, G)
+    if not compatibility_accepted(residual):
+        raise IncompatibleMetric(
+            f"metric is not compatible with the structure (residual {residual:.3g})")
     n = gamma.dim
-    maps = np.reshape(payload0, (-1, n, n))
+    maps = np.reshape(maps, (-1, n, n))
     w = 1.0 / (1 + len(maps))
-    P = np.einsum("kai,kjb->abij", (w if gamma.tag == SYMPLECTIC else -w) * maps,
-                  maps).reshape(n * n, n * n)
+    symplectic = gamma.tag == SYMPLECTIC  # (J X^T J)[a, b] = J[a, j] X[i, j] J[i, b]
+    P = np.einsum("kaj,kib->abij" if symplectic else "kai,kjb->abij",
+                  (w if symplectic else -w) * maps, maps).reshape(n * n, n * n)
     P.flat[::n * n + 1] += w
     return P
 
@@ -288,37 +264,34 @@ class StructureAlgebra:
 def structure_algebra(gamma: Structure, G: Metric) -> StructureAlgebra:
     """Bases of the G-symmetric and G-skew parts of the structure algebra.
 
-    Each is an orthonormal basis of _frame_projection's image on
-    sym_basis(n) or skew_basis(n) in the G-orthonormal frame (the
-    eigenvectors of eigenvalue 1 of the projector's Gram matrix on that
-    basis), conjugated back; raises IncompatibleMetric as
-    _transported_payload does.
+    Each is an orthonormal basis of the image of _frame_projector's P on
+    sym_basis(n) or skew_basis(n), B as rows, in the G-orthonormal frame (the
+    eigenvalue-1 eigenvectors of B P B^T), conjugated back; raises
+    IncompatibleMetric as _frame_projector does.
     """
     n = gamma.dim
-    payload0 = _transported_payload(gamma, G)
+    P = _frame_projector(gamma, G)
     parts = []
     for part in (sym_basis(n), skew_basis(n)):
-        B = np.reshape(part, (-1, n, n))
-        PB = _frame_projection(gamma, payload0, B)
-        gram = np.tensordot(B, PB, ([1, 2], [1, 2]))
-        w, v = np.linalg.eigh(gram)
-        parts.append(list(_from_frame(np.tensordot(v[:, w > 0.5].T, B, 1), G)))
+        B = np.reshape(part, (-1, n * n))
+        w, v = np.linalg.eigh(B.dot(P).dot(B.T))
+        parts.append(list(_from_frame(v[:, w > 0.5].T.dot(B).reshape(-1, n, n), G)))
     return StructureAlgebra(*parts)
 
 
 def invariant_projection(gamma: Structure, G: Metric, S: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a G-symmetric map S onto the symmetric part
-    of the structure algebra, in the trace inner product, by the reflection
-    formulas (J = J_G / sqrt(kappa) for symplectic, see _frame_maps);
-    raises IncompatibleMetric as _transported_payload does.
+    of the structure algebra, in the trace inner product: _frame_projector's
+    P on the symmetric part of S in the G-orthonormal frame, conjugated
+    back; raises IncompatibleMetric as _frame_projector does.
     """
     S = np.asarray(S, dtype=float)
     n = gamma.dim
     if S.shape != (n, n):
         raise DimensionMismatch(f"operator shape {S.shape} vs dim {n}")
-    payload0 = _transported_payload(gamma, G)
+    P = _frame_projector(gamma, G)
     S0 = _to_frame(S, G)
-    P0 = _frame_projection(gamma, payload0, 0.5 * (S0 + S0.T))
+    P0 = P.dot((0.5 * (S0 + S0.T)).ravel()).reshape(n, n)
     return _from_frame(0.5 * (P0 + P0.T), G)
 
 

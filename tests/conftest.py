@@ -12,7 +12,7 @@ from nilmetric.algebra_core import (_from_frame, as_tensor, combine,
                                     pair_index, skew_basis, svd_nullspace,
                                     sym_basis)
 from nilmetric.flows import _certified
-from nilmetric.structures import _transported_payload
+from nilmetric.structures import _frame_maps
 
 
 def graded_two_step(n, n1, rng, density=0.5):
@@ -85,7 +85,7 @@ def algebra_reference(gamma, G=None):
     rows on sym_basis(n) or skew_basis(n) in the G-orthonormal frame,
     conjugated back (G defaults to the identity)."""
     G = nm.Metric.identity(gamma.dim) if G is None else G
-    payload0 = _transported_payload(gamma, G)
+    payload0 = _frame_maps(gamma, G)[0]
     parts = []
     for part in (sym_basis(gamma.dim), skew_basis(gamma.dim)):
         rows = np.array(

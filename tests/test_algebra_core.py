@@ -390,6 +390,16 @@ def test_wrong_size_identity_metric_is_rejected():
         nm.curvature_report(b, nm.Metric.identity(5))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: nm.Metric(np.zeros((0, 0))),
+    lambda: nm.Metric.identity(0),
+], ids=["empty", "identity-0"])
+def test_metric_rejects_empty_matrix(build):
+    # as the structure builders do: DimensionMismatch, not a bare ValueError
+    with pytest.raises(nm.DimensionMismatch):
+        build()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-2, 2), min_size=3, max_size=3),
        st.floats(0.1, 2.0))

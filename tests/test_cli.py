@@ -235,6 +235,25 @@ def test_search_finds_minimum_and_is_deterministic(capsys, tmp_path):
     assert out2 == out1  # byte-identical rerun
 
 
+def test_search_honours_the_problem_tolerance(capsys, tmp_path):
+    # options.tol reaches every start's certificate, as it reaches certify's
+    p = nm.m26_point(1.0, 0.0)
+    path = write_problem(tmp_path, "m26.json", p.tensor, p.structure,
+                         options={"tol": 1e-30})
+    code, out, _ = run(capsys, ["search", path, "--starts", "1"])
+    best = json.loads(out)["best"]
+    assert best["certificate"]["tolerance"] == 1e-30
+    data = json.loads(Path(path).read_text())
+    data["bracket"] = best["bracket"]
+    returned = tmp_path / "best.json"
+    returned.write_text(json.dumps(data))
+    certify_code, certify_out, _ = run(capsys, ["certify", str(returned)])
+    cert = json.loads(certify_out)
+    assert cert["tolerance"] == 1e-30
+    assert cert["verdict"] == best["certificate"]["verdict"]
+    assert certify_code == code
+
+
 def test_search_perturbation_is_the_generator_norm(capsys, tmp_path,
                                                    monkeypatch):
     # every perturbed start k >= 1 moves by exp(xi) with |xi| = --perturbation
@@ -351,6 +370,7 @@ def test_fingerprint_and_distinguish(capsys, tmp_path):
     (["search", "F", "--max-iter", "0"], "--max-iter"),
     (["search", "F", "--perturbation", "nan"], "--perturbation"),
     (["search", "F", "--perturbation", "-0.1"], "--perturbation"),
+    (["search", "F", "--seed", "-1"], "--seed"),
 ])
 def test_bad_numeric_flags_exit_2(capsys, tmp_path, argv, flag):
     p = nm.m26_point(1.0, 0.0)
@@ -362,6 +382,25 @@ def test_bad_numeric_flags_exit_2(capsys, tmp_path, argv, flag):
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err.splitlines()[-1]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "F", "--csv", "OUT"],
+    ["catalog", "get", "m26", "--out", "OUT"],
+], ids=["flow-csv", "catalog-out"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # one error line naming the path, before the flow runs
+    path = write_problem(tmp_path, "heis.json", nm.heisenberg().tensor)
+    target = str(tmp_path / "missing" / "out")
+    flows = []
+    monkeypatch.setattr("nilmetric.cli.metric_flow",
+                        lambda *a, **k: flows.append(a))
+    code, out, err = run(capsys, [path if arg == "F" else
+                                  target if arg == "OUT" else arg
+                                  for arg in argv])
+    assert (code, out, flows) == (2, "", [])
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert target in err and "Traceback" not in err
 
 
 def test_flow_has_no_integrator_flag(capsys, tmp_path):

@@ -9,8 +9,9 @@ from scipy.stats import ortho_group
 
 import nilmetric as nm
 
-from conftest import (algebra_reference, bench_module, count_kernel_calls,
-                      group_reference, moment_map_reference)
+from conftest import (algebra_reference, basis_projection, bench_module,
+                      count_kernel_calls, group_reference,
+                      moment_map_reference)
 
 TOL = 1e-12
 
@@ -133,9 +134,7 @@ def test_soliton_split_is_tangential_and_certified():
     # delta_mu(D) is orthogonal to mu, and at a minimal bracket the split
     # is the certificate's (c, D)
     p = nm.m26_point(1.0, 0.0)
-    payload0 = nm.structures._transported_payload(p.structure,
-                                                  nm.Metric.identity(6))
-    P = nm.structures._frame_projector(p.structure, payload0)
+    P = nm.structures._frame_projector(p.structure, nm.Metric.identity(6))
     g = np.eye(6) + 0.2 * np.random.default_rng(5).standard_normal((6, 6))
     for mu in (nm.act(g, p.tensor), p.tensor):
         point = nm.curvature.frame_kernel(mu.coeffs, P)
@@ -200,8 +199,7 @@ def test_frame_kernel_matches_entry_points():
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     G = nm.Metric(np.linalg.matrix_power(np.eye(6) + 0.1 * xi, 2))
     h, hinv = G.transport, G.transport_inv
-    P = nm.structures._frame_projector(
-        p.structure, nm.structures._transported_payload(p.structure, G))
+    P = nm.structures._frame_projector(p.structure, G)
     mu0 = nm.act(h, p.tensor)
     ric0, ric_gamma0, norm2 = nm.curvature.frame_kernel(mu0.coeffs, P)[:3]
     assert np.abs(ric0 - ric0.T).max() == 0.0
@@ -227,8 +225,7 @@ def test_frame_kernel_certificate_matches_the_oracle(name):
     xi = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     phi = expm(0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
     G = nm.Metric(phi.T @ phi)
-    P = nm.structures._frame_projector(
-        p.structure, nm.structures._transported_payload(p.structure, G))
+    P = nm.structures._frame_projector(p.structure, G)
     mu0 = nm.act(G.transport, p.tensor)
     point = nm.curvature.frame_kernel(mu0.coeffs, P)
     c, D, _ = oracle.Curvature(
@@ -266,7 +263,9 @@ def test_frame_kernel_ricci_matches_the_reference(case):
     # on pair rows: Ric = 0.5 (C^T C - F F^T) is the moment map reference
     # / 8 and exactly symmetric (both products are the symmetric rank-k
     # update), and the mirrored Ric^gamma = P vec(Ric) is exactly symmetric
-    # too; n = 3, 6, 8, 12 and 16, at generic brackets of each orbit
+    # too and is Ric expanded against the reference basis of the symmetric
+    # structure algebra; n = 3, 6, 8, 12 and 16, at generic brackets of each
+    # orbit
     names = case.split("+")
     p = nm.catalog_get(names[0])
     tensor, gamma = ((p.tensor, p.structure) if len(names) == 1
@@ -274,15 +273,13 @@ def test_frame_kernel_ricci_matches_the_reference(case):
     n = tensor.dim
     rng = np.random.default_rng(24)
     mu = nm.act(np.eye(n) + 0.2 * rng.standard_normal((n, n)), tensor)
-    payload0 = nm.structures._transported_payload(gamma,
-                                                  nm.Metric.identity(n))
-    P = nm.structures._frame_projector(gamma, payload0)
+    P = nm.structures._frame_projector(gamma, nm.Metric.identity(n))
     ric, ric_gamma, norm2 = nm.curvature.frame_kernel(mu.coeffs, P)[:3]
     assert np.abs(ric - moment_map_reference(mu) / 8.0).max() <= 1e-14 * (
         1.0 + mu.norm2())
     assert np.array_equal(ric, ric.T)
     assert np.array_equal(ric_gamma, ric_gamma.T)
-    want = nm.structures._frame_projection(gamma, payload0, ric)
+    want = basis_projection(gamma, ric)
     assert np.abs(ric_gamma - want).max() <= 1e-14 * (1.0 + np.abs(ric).max())
     assert norm2 == mu.norm2()
 
@@ -294,13 +291,13 @@ def test_frame_payload_is_a_tuple_of_maps(name, length):
     p = nm.catalog_get(name)
     n = p.tensor.dim
     I = nm.Metric.identity(n)
-    payload0 = nm.structures._transported_payload(p.structure, I)
+    payload0 = nm.structures._frame_maps(p.structure, I)[0]
     assert isinstance(payload0, tuple) and len(payload0) == length
     for J0 in payload0:
         assert np.abs(J0 @ J0 + np.eye(n)).max() < TOL
     ric, ric_gamma, norm2 = nm.curvature.frame_kernel(
         p.tensor.coeffs,
-        nm.structures._frame_projector(p.structure, payload0))[:3]
+        nm.structures._frame_projector(p.structure, I))[:3]
     assert np.array_equal(ric, nm.ricci_operator(p.tensor))
     assert np.array_equal(ric_gamma,
                           nm.invariant_ricci(p.tensor, I, p.structure))

@@ -14,7 +14,7 @@ from conftest import (algebra_reference, coarse_flow_start,
                       count_kernel_calls, fd_defect_jacobian, group_reference,
                       perturbed_m26, reference_direction)
 from nilmetric.flows import _certified, _defect_jacobian, _flow_field
-from nilmetric.structures import _frame_projector, _transported_payload
+from nilmetric.structures import _frame_projector
 
 
 def minus_coboundary_of_D(T, gamma):
@@ -195,7 +195,7 @@ def test_flow_field_moves_the_bracket_as_act_does(preset, renorm):
     phi = expm(xi)
     G0 = nm.Metric(phi.T @ phi)
     h = G0.transport
-    P = _frame_projector(p.structure, _transported_payload(p.structure, G0))
+    P = _frame_projector(p.structure, G0)
     mu = nm.act(h, p.tensor)
     velocity, dh = _flow_field(mu.coeffs, P, h, -1.0, renorm)
     e = 1e-6
@@ -219,7 +219,7 @@ def test_unnormalized_field_is_the_coboundary_of_ric_gamma(preset, sign):
     phi = expm(0.25 * np.sqrt(len(basis)) / np.linalg.norm(xi) * xi)
     G0 = nm.Metric(phi.T @ phi)
     h = G0.transport
-    P = _frame_projector(p.structure, _transported_payload(p.structure, G0))
+    P = _frame_projector(p.structure, G0)
     mu = nm.act(h, p.tensor)
     velocity, dh = _flow_field(mu.coeffs, P, h, sign, False)
     ric_gamma = nm.curvature.frame_kernel(mu.coeffs, P).ric_gamma
@@ -653,7 +653,7 @@ def test_defect_jacobian_matches_finite_differences(name, structured):
     identity = nm.Metric.identity(n)
     basis = algebra_reference(gamma).sym_basis
     group = group_reference(p.structure)
-    P = _frame_projector(gamma, _transported_payload(gamma, identity))
+    P = _frame_projector(gamma, identity)
     rng = np.random.default_rng(13)
     for _ in range(3):
         xi = sum(c * B for c, B in zip(rng.standard_normal(len(group)), group))

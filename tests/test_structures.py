@@ -12,9 +12,8 @@ import nilmetric as nm
 from nilmetric.algebra_core import combine, expm
 from nilmetric.defaults import TOL_COMPAT
 from nilmetric.structures import (
-    _frame_projection,
+    _frame_maps,
     _frame_projector,
-    _transported_payload,
     abelian_residual,
     integrability_defect,
     invariant_projection,
@@ -377,17 +376,17 @@ def _literal_projection(gamma, payload0, S):
 
 
 def _frames():
-    """(gamma, payload0) for each class at I and, rotated, at a compatible
+    """(gamma, G) for each class at I and, rotated, at a compatible
     non-identity metric."""
     rng = np.random.default_rng(73)
     frames = []
     for kind, n in (("symplectic", 6), ("complex", 6), ("hypercomplex", 8)):
         gamma = nm.standard_structure(kind, n)
-        frames.append((gamma, _transported_payload(gamma, nm.Metric.identity(n))))
+        frames.append((gamma, nm.Metric.identity(n)))
         gamma = rotated_structure(kind, n, rng)
         basis = algebra_reference(gamma).sym_basis
         phi = expm(0.3 * combine(rng.standard_normal(len(basis)), basis))
-        frames.append((gamma, _transported_payload(gamma, nm.Metric(phi.T @ phi))))
+        frames.append((gamma, nm.Metric(phi.T @ phi)))
     return frames
 
 
@@ -399,17 +398,20 @@ _entries = st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6) | st.just(0.0)
 @given(st.sampled_from(range(len(FRAMES))),
        st.lists(_entries, min_size=3 * 64, max_size=3 * 64))
 def test_frame_projection_is_the_orthogonal_projector(index, entries):
-    # on arbitrary X (symmetric plus skew): idempotent, self-adjoint in the
-    # trace inner product, symmetric to symmetric and skew to skew, with an
-    # image in the structure algebra; on symmetric X, bitwise the literal
-    # reflection formula, alone and as a (k, n, n) batch
-    gamma, payload0 = FRAMES[index]
+    # the matrix P on arbitrary X (symmetric plus skew): idempotent,
+    # self-adjoint in the trace inner product, symmetric to symmetric and
+    # skew to skew, with an image in the structure algebra; on symmetric X,
+    # the literal reflection formula to rounding, alone and as a (k, n, n)
+    # batch
+    gamma, G = FRAMES[index]
+    payload0 = _frame_maps(gamma, G)[0]
+    matrix = _frame_projector(gamma, G)
     n = gamma.dim
     X, Y, Z = np.reshape(entries[:3 * n * n], (3, n, n))
     scale = 1.0 + np.abs(X).max() * np.abs(Y).max()
 
     def P(M):
-        return _frame_projection(gamma, payload0, M)
+        return (M.reshape(-1, n * n) @ matrix.T).reshape(M.shape)
 
     PX = P(X)
     assert np.abs(P(PX) - PX).max() <= 1e-12 * (1.0 + np.abs(X).max())
@@ -423,10 +425,13 @@ def test_frame_projection_is_the_orthogonal_projector(index, entries):
         defect = (PX.T @ J + J @ PX if gamma.tag == "symplectic"
                   else PX @ J - J @ PX)
         assert np.abs(defect).max() <= bound
-    assert np.array_equal(P(S), _literal_projection(gamma, payload0, S))
+    bound = 1e-15 * (1.0 + np.abs(S).max())
+    assert np.abs(P(S) - _literal_projection(gamma, payload0, S)).max() <= bound
     batch = np.stack([X, Y, Z])
     batch = batch + batch.swapaxes(1, 2)
-    assert np.array_equal(P(batch), _literal_projection(gamma, payload0, batch))
+    bound = 1e-15 * (1.0 + np.abs(batch).max())
+    assert np.abs(P(batch)
+                  - _literal_projection(gamma, payload0, batch)).max() <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,18 +439,20 @@ def test_frame_projection_is_the_orthogonal_projector(index, entries):
        st.lists(_entries, min_size=64, max_size=64))
 def test_frame_projector_is_the_projection_on_symmetric_maps(index, entries):
     # the kernel's (n^2, n^2) matrix on the row-major vec(S) of a symmetric S
-    # is _frame_projection(S) to rounding.  The product is symmetric only to
-    # rounding (BLAS rounds mirrored rows differently), so the kernel mirrors
-    # its upper triangle (test_curvature checks that image is exact)
-    gamma, payload0 = FRAMES[index]
+    # is the literal reflection formula to rounding.  The product is
+    # symmetric only to rounding (BLAS rounds mirrored rows differently), so
+    # the kernel mirrors its upper triangle (test_curvature checks that
+    # image is exact)
+    gamma, G = FRAMES[index]
+    payload0 = _frame_maps(gamma, G)[0]
     n = gamma.dim
     X = np.reshape(entries[:n * n], (n, n))
     S = X + X.T
-    P = _frame_projector(gamma, payload0)
+    P = _frame_projector(gamma, G)
     assert P.shape == (n * n, n * n)
     PS = (P @ S.ravel()).reshape(n, n)
     bound = 1e-15 * (1.0 + np.abs(S).max())
-    assert np.abs(PS - _frame_projection(gamma, payload0, S)).max() <= bound
+    assert np.abs(PS - _literal_projection(gamma, payload0, S)).max() <= bound
 
 
 def test_structure_algebra_members_satisfy_frame_constraint():
